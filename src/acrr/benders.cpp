@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <map>
-#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -408,24 +407,8 @@ AdmissionResult solve_benders(const AcrrInstance& inst,
   // with dual simplex — the cut leaves it dual-feasible — instead of the
   // artificial-repair Phase 1 the old Basis plumbing went through.
   LpSession msession(std::move(master.lp), opts.master.lp);
-  // Inactive-cut purge (purge_inactive_cuts > 0): all cut rows live in one
-  // session frame; a cut whose slack stays basic — the row inactive at the
-  // master root optimum — for k consecutive iterations is retired by
-  // rebuilding the frame with the survivors. Bookkeeping mirrors rows
-  // [base_rows, ∞) so the frame can be rebuilt and a reduced warm basis
-  // hand-assembled (row truncation invalidates the old one).
-  const bool purging = opts.purge_inactive_cuts > 0;
-  const int base_rows = msession.model().num_rows();
-  const int master_vars = msession.model().num_vars();
-  struct CutRow {
-    solver::Rowdef row;
-    int idle = 0;
-  };
-  std::vector<CutRow> cut_rows;
-  if (purging) msession.push();
   long cuts_appended = 0;
   long master_pivots = 0;
-  long cuts_purged = 0;
   long slave_rounds = 0;
   // Branching/heuristic counters summed over the per-iteration master
   // solves; first_incumbent_nodes takes the min (best anytime profile).
@@ -435,14 +418,6 @@ AdmissionResult solve_benders(const AcrrInstance& inst,
   long first_incumbent = -1;
   const auto append_cut = [&](std::string name, RowSense sense, double rhs,
                               std::vector<Coef> coefs) {
-    if (purging) {
-      CutRow c;
-      c.row.name = name;
-      c.row.sense = sense;
-      c.row.rhs = rhs;
-      c.row.coefs = coefs;
-      cut_rows.push_back(std::move(c));
-    }
     msession.add_cut(std::move(name), sense, rhs, std::move(coefs));
     ++cuts_appended;
   };
@@ -515,53 +490,6 @@ AdmissionResult solve_benders(const AcrrInstance& inst,
     // folds dropped limit-hit nodes into best_bound conservatively).
     if (mr.status == MilpStatus::NoSolution) break;
     lb = std::max(lb, mr.best_bound);
-
-    if (purging && !mr.root_basis.empty() &&
-        mr.root_basis.status.size() ==
-            static_cast<std::size_t>(master_vars) +
-                static_cast<std::size_t>(base_rows) + cut_rows.size()) {
-      // Age every cut by its root-basis row status (slack basic == the row
-      // was inactive at this iteration's master optimum) and, once any
-      // streak reaches k, rebuild the cut frame with the survivors. A
-      // purged cut the master ever needs again simply re-separates.
-      const auto& st = mr.root_basis.status;
-      const auto row_status = [&](std::size_t i) {
-        return st[static_cast<std::size_t>(master_vars) +
-                  static_cast<std::size_t>(base_rows) + i];
-      };
-      bool purge_now = false;
-      for (std::size_t i = 0; i < cut_rows.size(); ++i) {
-        if (row_status(i) == Basis::Status::Basic) {
-          if (++cut_rows[i].idle >= opts.purge_inactive_cuts) purge_now = true;
-        } else {
-          cut_rows[i].idle = 0;
-        }
-      }
-      if (purge_now) {
-        // Reduced warm basis: variable + structural-row statuses carry
-        // over; surviving cut rows keep theirs, purged rows vanish.
-        Basis wb;
-        wb.num_vars = master_vars;
-        wb.status.assign(st.begin(),
-                         st.begin() + master_vars + base_rows);
-        std::vector<CutRow> kept;
-        kept.reserve(cut_rows.size());
-        for (std::size_t i = 0; i < cut_rows.size(); ++i) {
-          if (cut_rows[i].idle >= opts.purge_inactive_cuts) {
-            ++cuts_purged;
-            continue;
-          }
-          wb.status.push_back(row_status(i));
-          kept.push_back(std::move(cut_rows[i]));
-        }
-        msession.pop();   // truncate every cut row (frame opened above)
-        msession.push();  // reopen the frame for the survivors
-        for (const CutRow& c : kept) msession.add_cut(c.row);
-        wb.num_rows = base_rows + static_cast<int>(kept.size());
-        msession.set_warm_basis(std::make_shared<const Basis>(std::move(wb)));
-        cut_rows = std::move(kept);
-      }
-    }
 
     const std::vector<char> active = detail::extract_active(master, mr.x);
 
@@ -695,7 +623,6 @@ AdmissionResult solve_benders(const AcrrInstance& inst,
   res.optimal = ub < kInf && ub - lb <= opts.epsilon * (1.0 + std::abs(ub));
   res.deficit = best_deficit;
   res.cuts_separated = cuts_appended;
-  res.cuts_evicted = cuts_purged;
   res.separation_rounds = slave_rounds;
   res.master_pivots = master_pivots;
   res.pseudocost_branchings = pc_branchings;

@@ -71,12 +71,6 @@ struct BendersOptions {
   /// candidate leaves idle — the classic "pareto-optimal cut" effect
   /// without a fractional core point (the slave takes binary activations).
   bool magnanti_wong = true;
-  /// Classic multi-tree loop: retire master cut rows whose slack stayed
-  /// basic (row inactive at the master optimum) for this many consecutive
-  /// iterations; the master re-derives a purged cut through separation if
-  /// it ever matters again. 0 (default) disables purging, keeping the
-  /// paper-figure trajectories byte-identical.
-  int purge_inactive_cuts = 0;
   /// Cut pool for single-tree mode, shared with the caller (not owned;
   /// e.g. across re-solves of a cut-round session). Null: private pool.
   solver::CutPool* cut_pool = nullptr;

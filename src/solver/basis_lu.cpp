@@ -6,13 +6,9 @@
 
 namespace ovnes::solver {
 
-namespace {
-
 using std::size_t;
 
-}  // namespace
-
-bool BasisKernel::factorize(const std::vector<std::vector<double>>& cols) {
+bool BasisLu::factorize(const std::vector<std::vector<double>>& cols) {
   SparseMatrix b;
   b.clear(static_cast<int>(cols.size()));
   for (const std::vector<double>& col : cols) {
@@ -23,8 +19,6 @@ bool BasisKernel::factorize(const std::vector<std::vector<double>>& cols) {
   }
   return factorize(b);
 }
-
-// ----------------------------------------------------------------- BasisLu
 
 BasisLu::BasisLu(int m, const BasisKernelOptions& opts)
     : m_(m), dim_(m), opts_(opts) {
@@ -417,109 +411,6 @@ bool BasisLu::append_row(
   updates_.push_back(std::move(u));
   ++dim_;
   return true;
-}
-
-// ------------------------------------------------------- DenseInverseKernel
-
-DenseInverseKernel::DenseInverseKernel(int m, const BasisKernelOptions& opts)
-    : m_(m), opts_(opts) {
-  const auto mm = static_cast<size_t>(m);
-  binv_.assign(mm * mm, 0.0);
-  scratch_.resize(mm);
-}
-
-bool DenseInverseKernel::factorize(const SparseMatrix& basis) {
-  const auto m = static_cast<size_t>(basis.outer());
-  m_ = static_cast<int>(m);
-  binv_.resize(m * m);
-  scratch_.resize(m);
-  std::vector<double> a(m * m, 0.0);
-  for (size_t c = 0; c < m; ++c) {
-    for (int pp = basis.begin(static_cast<int>(c));
-         pp < basis.end(static_cast<int>(c)); ++pp) {
-      a[static_cast<size_t>(basis.ind[static_cast<size_t>(pp)]) * m + c] =
-          basis.val[static_cast<size_t>(pp)];
-    }
-  }
-  std::fill(binv_.begin(), binv_.end(), 0.0);
-  for (size_t i = 0; i < m; ++i) binv_[i * m + i] = 1.0;
-  for (size_t k = 0; k < m; ++k) {
-    size_t p = k;
-    double mag = std::abs(a[k * m + k]);
-    for (size_t r = k + 1; r < m; ++r) {
-      const double v = std::abs(a[r * m + k]);
-      if (v > mag) { mag = v; p = r; }
-    }
-    if (mag <= opts_.pivot_tol) return false;  // historical absolute test
-    if (p != k) {
-      for (size_t c = 0; c < m; ++c) {
-        std::swap(a[p * m + c], a[k * m + c]);
-        std::swap(binv_[p * m + c], binv_[k * m + c]);
-      }
-    }
-    const double piv = a[k * m + k];
-    for (size_t c = 0; c < m; ++c) {
-      a[k * m + c] /= piv;
-      binv_[k * m + c] /= piv;
-    }
-    for (size_t r = 0; r < m; ++r) {
-      if (r == k) continue;
-      const double f = a[r * m + k];
-      if (f == 0.0) continue;
-      for (size_t c = 0; c < m; ++c) {
-        a[r * m + c] -= f * a[k * m + c];
-        binv_[r * m + c] -= f * binv_[k * m + c];
-      }
-    }
-  }
-  return true;
-}
-
-void DenseInverseKernel::ftran(std::vector<double>& v) const {
-  const auto m = static_cast<size_t>(m_);
-  std::vector<double>& out = scratch_;
-  for (size_t i = 0; i < m; ++i) {
-    const double* row = &binv_[i * m];
-    double s = 0.0;
-    for (size_t k = 0; k < m; ++k) s += row[k] * v[k];
-    out[i] = s;
-  }
-  v.swap(out);
-}
-
-void DenseInverseKernel::btran(std::vector<double>& v) const {
-  const auto m = static_cast<size_t>(m_);
-  std::vector<double>& out = scratch_;
-  std::fill(out.begin(), out.end(), 0.0);
-  for (size_t i = 0; i < m; ++i) {
-    const double vi = v[i];
-    if (vi == 0.0) continue;
-    const double* row = &binv_[i * m];
-    for (size_t k = 0; k < m; ++k) out[k] += vi * row[k];
-  }
-  v.swap(out);
-}
-
-bool DenseInverseKernel::update(const std::vector<double>& w, int leaving_row) {
-  const auto m = static_cast<size_t>(m_);
-  const auto lr = static_cast<size_t>(leaving_row);
-  const double piv = w[lr];
-  double* lrow = &binv_[lr * m];
-  for (size_t k = 0; k < m; ++k) lrow[k] /= piv;
-  for (size_t i = 0; i < m; ++i) {
-    if (i == lr) continue;
-    const double f = w[i];
-    if (f == 0.0) continue;
-    double* irow = &binv_[i * m];
-    for (size_t k = 0; k < m; ++k) irow[k] -= f * lrow[k];
-  }
-  return true;
-}
-
-std::unique_ptr<BasisKernel> make_basis_kernel(int m, bool dense_reference,
-                                               const BasisKernelOptions& opts) {
-  if (dense_reference) return std::make_unique<DenseInverseKernel>(m, opts);
-  return std::make_unique<BasisLu>(m, opts);
 }
 
 }  // namespace ovnes::solver

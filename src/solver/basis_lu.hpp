@@ -1,4 +1,4 @@
-// Basis factorization kernels for the revised simplex.
+// Sparse LU basis factorization for the revised simplex.
 //
 // The simplex needs four operations on the basis matrix B (m×m, columns
 // drawn from [A | I | ±I]):
@@ -14,41 +14,32 @@
 //   append_row(r)          bordered update: B' = [[B, 0], [rᵀ, 1]] — the
 //                          new row's slack enters basic at the new slot.
 //
-// Two implementations share that interface:
-//
-//  * BasisLu — sparse LU (Gilbert–Peierls left-looking elimination with
-//    threshold-Markowitz pivoting) plus product-form (eta) updates. Columns
-//    are eliminated singletons-first (a slack-heavy Benders master basis is
-//    mostly free), each column's pattern is predicted by a depth-first
-//    reach over the partially built L, and the row pivot is the sparsest
-//    row whose magnitude clears `markowitz_tol` relative to the column —
-//    so factorization and the triangular solves cost O(nnz + fill), not
-//    O(m³)/O(m²). FTRAN and BTRAN sweep the stored factors (and their
-//    transposes) column-wise and skip columns whose solution entry is
-//    exactly zero, which short-circuits hypersparse right-hand sides (a
-//    unit slack column, a single-row BTRAN for dual pricing) to the few
-//    columns actually reachable. When the fill ratio of a factorization
-//    exceeds `max_fill_ratio` the kernel re-orders — it retries with a
-//    Markowitz-product column order and a looser pivot threshold — instead
-//    of silently densifying; stats() reports the fill and the retries.
-//    Each pivot appends an O(nnz(w)) eta vector; the kernel asks for a
-//    refactorization (update() returning false) once the update file grows
-//    past `max_etas` or a pivot is too small relative to ‖w‖∞ to be
-//    applied stably. A bordered append is one more entry in the same
-//    update file with an exact ±1 pivot (the slack column), so a cut round
-//    costs O(nnz(cut)) instead of a refactorization. Singularity during
-//    factorization is judged per column *relative to that column's
-//    magnitude* so badly scaled but perfectly regular bases (e.g.
-//    1e-10-coefficient rows next to 1e7 capacities) are not rejected.
-//
-//  * DenseInverseKernel — the pre-LU explicit dense B⁻¹ maintained by
-//    Gauss–Jordan pivots, retained as a reference baseline for tests and
-//    benchmarks (O(m³) factorize, O(m²) per pivot, absolute pivot
-//    threshold, no bordered append — callers refactorize instead). Select
-//    it with SimplexOptions::dense_basis_inverse.
+// BasisLu implements them as a sparse LU (Gilbert–Peierls left-looking
+// elimination with threshold-Markowitz pivoting) plus product-form (eta)
+// updates. Columns are eliminated singletons-first (a slack-heavy Benders
+// master basis is mostly free), each column's pattern is predicted by a
+// depth-first reach over the partially built L, and the row pivot is the
+// sparsest row whose magnitude clears `markowitz_tol` relative to the
+// column — so factorization and the triangular solves cost O(nnz + fill),
+// not O(m³)/O(m²). FTRAN and BTRAN sweep the stored factors (and their
+// transposes) column-wise and skip columns whose solution entry is exactly
+// zero, which short-circuits hypersparse right-hand sides (a unit slack
+// column, a single-row BTRAN for dual pricing) to the few columns actually
+// reachable. When the fill ratio of a factorization exceeds
+// `max_fill_ratio` the kernel re-orders — it retries with a
+// Markowitz-product column order and a looser pivot threshold — instead of
+// silently densifying; stats() reports the fill and the retries. Each
+// pivot appends an O(nnz(w)) eta vector; the kernel asks for a
+// refactorization (update() returning false) once the update file grows
+// past `max_etas` or a pivot is too small relative to ‖w‖∞ to be applied
+// stably. A bordered append is one more entry in the same update file with
+// an exact ±1 pivot (the slack column), so a cut round costs O(nnz(cut))
+// instead of a refactorization. Singularity during factorization is judged
+// per column *relative to that column's magnitude* so badly scaled but
+// perfectly regular bases (e.g. 1e-10-coefficient rows next to 1e7
+// capacities) are not rejected.
 #pragma once
 
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -56,40 +47,37 @@
 
 namespace ovnes::solver {
 
-/// \brief Tuning knobs shared by the basis factorization kernels.
+/// \brief Tuning knobs of the basis factorization.
 struct BasisKernelOptions {
-  /// Singularity threshold during factorize(). BasisLu applies it relative
-  /// to each column's largest magnitude; DenseInverseKernel applies it
-  /// absolutely (the historical behaviour it exists to reproduce).
+  /// Singularity threshold during factorize(), applied relative to each
+  /// column's largest magnitude.
   double pivot_tol = 1e-9;
-  /// BasisLu: refactorize after this many product-form updates. Bordered
-  /// appends (append_row) count against the same budget — each one adds
-  /// the same O(nnz) term to every subsequent ftran/btran an eta does.
+  /// Refactorize after this many product-form updates. Bordered appends
+  /// (append_row) count against the same budget — each one adds the same
+  /// O(nnz) term to every subsequent ftran/btran an eta does.
   int max_etas = 64;
-  /// BasisLu: eta entries below this magnitude are dropped.
+  /// Eta entries below this magnitude are dropped.
   double eta_drop_tol = 1e-12;
-  /// BasisLu: decline update() (forcing refactorization) when the pivot is
-  /// smaller than this fraction of ‖w‖∞.
+  /// Decline update() (forcing refactorization) when the pivot is smaller
+  /// than this fraction of ‖w‖∞.
   double stability_tol = 1e-8;
-  /// BasisLu: threshold-Markowitz pivoting. A row is an eligible pivot when
+  /// Threshold-Markowitz pivoting. A row is an eligible pivot when
   /// its magnitude is at least this fraction of the column's largest
   /// eliminated magnitude; among eligible rows the sparsest (fewest basis
   /// nonzeros) wins. 1.0 degenerates to partial pivoting (stablest, most
   /// fill), smaller values trade a bounded element-growth risk for
   /// sparsity.
   double markowitz_tol = 0.1;
-  /// BasisLu: when nnz(L+U)/nnz(B) exceeds this after a factorization, the
+  /// When nnz(L+U)/nnz(B) exceeds this after a factorization, the
   /// kernel re-orders (Markowitz-product column order, looser threshold)
   /// and refactorizes instead of keeping the densified factors.
   double max_fill_ratio = 16.0;
 };
 
-/// \brief Counters a kernel reports about its own numerical work. BasisLu
-/// maintains all of them; kernels without a concept of fill (the dense
-/// reference) return the default zeros. Cumulative over the kernel's
-/// lifetime except where noted — a kernel kept alive in an LpSession
-/// accumulates across solves, and callers diff snapshots for per-solve
-/// figures.
+/// \brief Counters the kernel reports about its own numerical work.
+/// Cumulative over the kernel's lifetime except where noted — a kernel
+/// kept alive in an LpSession accumulates across solves, and callers diff
+/// snapshots for per-solve figures.
 struct KernelStats {
   long factor_nnz = 0;       ///< nnz(L)+nnz(U) at the last factorization
   double fill_ratio = 0.0;   ///< factor_nnz / nnz(B) at the last factorization
@@ -100,16 +88,19 @@ struct KernelStats {
   long hypersparse_hits = 0; ///< solves that skipped > half their sweep columns
 };
 
-/// \brief Pluggable basis factorization behind the revised simplex.
+/// \brief Sparse LU (Gilbert–Peierls, threshold-Markowitz pivoting) with
+/// hypersparse triangular solves and product-form updates (etas and
+/// bordered row appends).
 ///
-/// One kernel instance represents the factorization of a single basis
-/// matrix B. The simplex keeps it in sync with its basis ordering: every
-/// pivot is either absorbed with update() or answered with a full
-/// factorize(); appended cut rows are absorbed with append_row(). Kernels
-/// are not thread-safe; each LpSession / simplex run owns its own.
-class BasisKernel {
+/// One instance represents the factorization of a single basis matrix B.
+/// The simplex keeps it in sync with its basis ordering: every pivot is
+/// either absorbed with update() or answered with a full factorize();
+/// appended cut rows are absorbed with append_row(). Not thread-safe; each
+/// LpSession / simplex run owns its own.
+class BasisLu {
  public:
-  virtual ~BasisKernel() = default;
+  BasisLu() = default;
+  explicit BasisLu(int m, const BasisKernelOptions& opts = {});
 
   /// \brief Rebuild the factorization from the basis matrix in CSC form
   /// (column k of `basis` is basis column k; basis.n_inner == outer()).
@@ -118,7 +109,7 @@ class BasisKernel {
   /// kernel kept alive across LpSession solves is recycled after the model
   /// grew or shrank). Returns false when B is numerically singular; the
   /// kernel state is then unusable until a successful factorize.
-  [[nodiscard]] virtual bool factorize(const SparseMatrix& basis) = 0;
+  [[nodiscard]] bool factorize(const SparseMatrix& basis);
 
   /// \brief Dense-columns convenience overload (tests, small callers):
   /// compresses `cols` (cols[j] is dense column j, size cols.size()) and
@@ -126,19 +117,19 @@ class BasisKernel {
   [[nodiscard]] bool factorize(const std::vector<std::vector<double>>& cols);
 
   /// \brief v := B⁻¹ v (v.size() == dim()).
-  virtual void ftran(std::vector<double>& v) const = 0;
+  void ftran(std::vector<double>& v) const;
 
   /// \brief v := B⁻ᵀ v (v.size() == dim()).
-  virtual void btran(std::vector<double>& v) const = 0;
+  void btran(std::vector<double>& v) const;
 
   /// \brief Absorb one basis change (column `leaving_row` replaced).
   ///
   /// `w` is the FTRAN image of the entering column (w = B⁻¹ a_entering,
   /// computed by the caller; the pivot element is w[leaving_row]). Returns
-  /// false when the kernel declines — the caller must then refactorize
-  /// from the updated basis columns instead.
-  [[nodiscard]] virtual bool update(const std::vector<double>& w,
-                                    int leaving_row) = 0;
+  /// false when the kernel declines — the eta file is full or the pivot is
+  /// unstable — and the caller must then refactorize from the updated
+  /// basis columns instead.
+  [[nodiscard]] bool update(const std::vector<double>& w, int leaving_row);
 
   /// \brief Grow the basis by one appended row (bordered update).
   ///
@@ -146,54 +137,29 @@ class BasisKernel {
   /// enters basic at the new slot, and `row_on_basis` lists the appended
   /// row's coefficients on the incumbent basic columns as (slot, value)
   /// pairs (slot < dim()). The border pivot is exactly 1, so the update is
-  /// unconditionally stable; kernels decline (returning false) only when
-  /// they do not support borders or the update budget is exhausted — the
-  /// caller then refactorizes at the full new dimension.
-  [[nodiscard]] virtual bool append_row(
-      const std::vector<std::pair<int, double>>& row_on_basis) {
-    (void)row_on_basis;
-    return false;
-  }
+  /// unconditionally stable; it is declined (returning false) only when
+  /// the update budget is exhausted — the caller then refactorizes at the
+  /// full new dimension.
+  [[nodiscard]] bool append_row(
+      const std::vector<std::pair<int, double>>& row_on_basis);
 
   /// \brief Current dimension: rows of the factorized basis plus any
   /// bordered appends absorbed since.
-  [[nodiscard]] virtual int dim() const = 0;
+  [[nodiscard]] int dim() const { return dim_; }
 
   /// \brief Product-form updates (etas + borders) absorbed since the last
-  /// factorize (0 for kernels without an update file).
-  [[nodiscard]] virtual int updates_since_factorize() const { return 0; }
+  /// factorize.
+  [[nodiscard]] int updates_since_factorize() const {
+    return static_cast<int>(updates_.size());
+  }
 
   /// \brief Replace the tuning knobs (used when a kernel kept alive in an
   /// LpSession is re-adopted by a solve whose model size implies a
   /// different eta budget).
-  virtual void set_options(const BasisKernelOptions& opts) = 0;
+  void set_options(const BasisKernelOptions& opts) { opts_ = opts; }
 
-  /// \brief Fill / sparsity counters (see KernelStats); zeros for kernels
-  /// that do not track them.
-  [[nodiscard]] virtual KernelStats stats() const { return {}; }
-};
-
-/// \brief Sparse LU (Gilbert–Peierls, threshold-Markowitz pivoting) with
-/// hypersparse triangular solves and product-form updates (etas and
-/// bordered row appends).
-class BasisLu final : public BasisKernel {
- public:
-  explicit BasisLu(int m, const BasisKernelOptions& opts = {});
-
-  using BasisKernel::factorize;
-  [[nodiscard]] bool factorize(const SparseMatrix& basis) override;
-  void ftran(std::vector<double>& v) const override;
-  void btran(std::vector<double>& v) const override;
-  [[nodiscard]] bool update(const std::vector<double>& w,
-                            int leaving_row) override;
-  [[nodiscard]] bool append_row(
-      const std::vector<std::pair<int, double>>& row_on_basis) override;
-  [[nodiscard]] int dim() const override { return dim_; }
-  [[nodiscard]] int updates_since_factorize() const override {
-    return static_cast<int>(updates_.size());
-  }
-  void set_options(const BasisKernelOptions& opts) override { opts_ = opts; }
-  [[nodiscard]] KernelStats stats() const override { return stats_; }
+  /// \brief Fill / sparsity counters (see KernelStats).
+  [[nodiscard]] KernelStats stats() const { return stats_; }
 
  private:
   /// One product-form update. Two kinds:
@@ -217,8 +183,8 @@ class BasisLu final : public BasisKernel {
                                const std::vector<int>& order, double tau,
                                double* fill_ratio);
 
-  int m_;    ///< dimension of the LU factors (at last factorize)
-  int dim_;  ///< m_ plus bordered appends absorbed since
+  int m_ = 0;    ///< dimension of the LU factors (at last factorize)
+  int dim_ = 0;  ///< m_ plus bordered appends absorbed since
   BasisKernelOptions opts_;
   // B = Pᵀ·L·U·Qᵀ in pivot coordinates: the k-th pivot eliminated original
   // column q_[k] against original row p_[k]. L_ holds the strict lower
@@ -238,28 +204,6 @@ class BasisLu final : public BasisKernel {
   std::vector<double> xnum_, colscale_;
 };
 
-/// \brief Explicit dense B⁻¹ maintained by Gauss–Jordan pivots (reference
-/// kernel; declines bordered appends).
-class DenseInverseKernel final : public BasisKernel {
- public:
-  explicit DenseInverseKernel(int m, const BasisKernelOptions& opts = {});
-
-  using BasisKernel::factorize;
-  [[nodiscard]] bool factorize(const SparseMatrix& basis) override;
-  void ftran(std::vector<double>& v) const override;
-  void btran(std::vector<double>& v) const override;
-  [[nodiscard]] bool update(const std::vector<double>& w,
-                            int leaving_row) override;
-  [[nodiscard]] int dim() const override { return m_; }
-  void set_options(const BasisKernelOptions& opts) override { opts_ = opts; }
-
- private:
-  int m_;
-  BasisKernelOptions opts_;
-  std::vector<double> binv_;  ///< m×m row-major
-  mutable std::vector<double> scratch_;  ///< solve buffer (no per-call alloc)
-};
-
 /// \brief Live factorization handed across solves.
 ///
 /// LpSession owns one of these and threads it through every solve: the
@@ -273,7 +217,7 @@ class DenseInverseKernel final : public BasisKernel {
 /// state the next solve must not trust, `basis_order` is empty and only
 /// the kernel's allocation is recycled.
 struct BasisFactors {
-  std::unique_ptr<BasisKernel> kernel;
+  BasisLu kernel;
   std::vector<int> basis_order;  ///< column index per slot; empty = stale
   /// Dual steepest-edge weights per basis slot, snapshotted when a solve
   /// ends Optimal straight out of the dual loop (no primal pivots since).
@@ -283,17 +227,6 @@ struct BasisFactors {
   std::vector<double> dse_weights;
   int num_vars = 0;              ///< structural vars at snapshot time
   int num_rows = 0;              ///< model rows at snapshot time (== dim)
-  bool dense = false;            ///< kernel is the dense reference
-
-  /// True when the factors describe a basis a solve may adopt.
-  [[nodiscard]] bool reusable() const {
-    return kernel != nullptr && !basis_order.empty();
-  }
 };
-
-/// Factory used by the simplex: LU by default, the dense reference kernel
-/// when `dense_reference` is set.
-[[nodiscard]] std::unique_ptr<BasisKernel> make_basis_kernel(
-    int m, bool dense_reference, const BasisKernelOptions& opts = {});
 
 }  // namespace ovnes::solver

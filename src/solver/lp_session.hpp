@@ -26,8 +26,9 @@
 // refactorization), and refactorization happens only on the kernel's own
 // triggers — eta limit, unstable pivot, x_B drift — or a basis mismatch
 // (a pop() to an older snapshot, an injected foreign warm basis).
-// SimplexOptions::keep_factors opts out for A/B comparisons and for
-// callers that need solves to be a pure function of (model, warm basis).
+// SimplexOptions::keep_factors = false opts out for callers that need
+// solves to be a pure function of (model, warm basis): branch-and-bound
+// lanes and strong-branching probes.
 //
 // push()/pop() open scoped delta frames for branch-and-bound: a frame
 // records the row count, the previous value of every bound/cost touched
@@ -74,8 +75,7 @@ class LpSession {
  public:
   /// Take ownership of `model` (move in; pass a copy to keep the
   /// original). Dual-simplex dispatch (SimplexOptions::allow_dual) is
-  /// enabled by default — it is the point of holding a session; flip it
-  /// off with set_allow_dual for A/B comparisons.
+  /// always enabled — it is the point of holding a session.
   explicit LpSession(LpModel model, SimplexOptions opts = {});
 
   /// Non-owning one-shot session over a caller's model: no copy, but the
@@ -131,12 +131,6 @@ class LpSession {
   [[nodiscard]] const LpModel& model() const {
     return borrowed_ != nullptr ? *borrowed_ : model_;
   }
-  void set_allow_dual(bool allow) { opts_.allow_dual = allow; }
-  /// Toggle factorization keep-alive (SimplexOptions::keep_factors; on by
-  /// default). Off: every solve rebuilds the LU from the basis statuses —
-  /// the PR 4 behaviour, kept for A/B benches and for callers that need
-  /// the result to be a pure function of (model, warm basis).
-  void set_keep_factors(bool keep) { opts_.keep_factors = keep; }
 
   // -------------------------------------------------------------- stats
   struct Stats {
@@ -148,7 +142,7 @@ class LpSession {
                            ///< on entry (bound deltas verbatim, cuts bordered)
     long iterations = 0;   ///< total pivots across all solves
     long refactorizations = 0;  ///< from-scratch factorizations, all solves
-    // Sparsity counters (LpResult mirrors, zeros under the dense kernel).
+    // Sparsity counters (LpResult mirrors).
     long kernel_solves = 0;     ///< FTRAN + BTRAN calls, all solves
     long hypersparse_hits = 0;  ///< kernel solves that skipped > half the sweep
     long reorderings = 0;       ///< fill-blowup re-orderings, all solves

@@ -511,69 +511,42 @@ bool evaluate_node(BnbShared& sh, Node& node,
   const LpModel& base = *sh.base;
   const MilpOptions& opts = sh.opts;
 
-  // ---- LP evaluation, outside the lock.
-  LpResult lp_copy;           // copy_node_models compatibility path
-  const LpResult* lp_ptr = nullptr;
-  SharedBasis child_basis;    // one handle shared by both children
-  std::optional<LpModel> copy_model;  // kept alive for probe solves
-  if (opts.copy_node_models) {
-    copy_model.emplace(base);
-    LpModel& copy = *copy_model;
-    for (const auto& [var, lo, hi] : node.fixes) copy.set_bounds(var, lo, hi);
-    // Same dual-simplex dispatch as the session path: this knob compares
-    // node *state management* (copies vs delta frames), not algorithms —
-    // both must explore bit-identical trees.
-    SimplexOptions lp_opts = opts.lp;
-    lp_opts.allow_dual = true;
-    lp_copy = solve_lp(copy, lp_opts,
-                       node.warm != nullptr ? node.warm.get() : nullptr);
-    if (lp_copy.status == LpStatus::InvalidBasis) {
-      // Stale externally supplied warm basis (MilpOptions::warm_start):
-      // retry cold, mirroring the session path below.
-      lp_copy = solve_lp(copy, lp_opts);
-    }
-    lp_ptr = &lp_copy;
-    if (lp_copy.status == LpStatus::Optimal && !lp_copy.basis.empty()) {
-      child_basis = std::make_shared<const Basis>(lp_copy.basis);
-    }
-  } else {
-    // Lane-private session, constructed once per lane: the node's bound
-    // fixes are applied inside a push()ed delta frame (undone by pop()
-    // below) and the parent's basis rides in as a refcounted handle.
-    // keep_factors stays OFF for node evaluation: a lane-persistent
-    // factorization would make a node's LP result depend on which nodes
-    // the lane happened to solve before, and the determinism contract
-    // (delta frames explore exactly the tree per-node model copies do;
-    // serial and parallel agree on the objective) needs each node to be a
-    // pure function of (bounds, warm basis). The dive heuristic and the
-    // Benders master session — both strictly sequential — do keep theirs.
-    if (!sess.has_value()) {
-      SimplexOptions lane_lp = opts.lp;
-      lane_lp.keep_factors = false;
-      sess.emplace(base, lane_lp);
-    }
-    if (sh.cuts != nullptr) {
-      // Permanent lane sync, at frame depth 0: rows other lanes pooled
-      // since this lane's last node join the lane model for good. Cuts
-      // are globally valid, so bounds of nodes evaluated earlier remain
-      // valid relaxations — they merely lacked these rows.
-      auto fresh_rows = sh.cuts->fetch_new(pool_version);
-      for (Rowdef& r : fresh_rows) sess->add_cut(std::move(r));
-    }
-    sess->push();
-    for (const auto& [var, lo, hi] : node.fixes) sess->set_bounds(var, lo, hi);
-    sess->set_warm_basis(node.warm);
-    lp_ptr = &sess->solve();
-    if (lp_ptr->status == LpStatus::InvalidBasis) {
-      // Defensive: a stale externally supplied warm basis (only reachable
-      // via MilpOptions::warm_start) must not kill the node — drop it and
-      // re-solve cold, matching the pre-session silent-fallback contract
-      // for the tree search (plain solve_lp callers get the error).
-      sess->clear_basis();
-      lp_ptr = &sess->solve();
-    }
-    child_basis = sess->basis();
+  // ---- LP evaluation, outside the lock. Lane-private session,
+  // constructed once per lane: the node's bound fixes are applied inside a
+  // push()ed delta frame (undone by pop() below) and the parent's basis
+  // rides in as a refcounted handle. keep_factors stays OFF for node
+  // evaluation: a lane-persistent factorization would make a node's LP
+  // result depend on which nodes the lane happened to solve before, and
+  // the determinism contract (serial and parallel agree on the objective)
+  // needs each node to be a pure function of (bounds, warm basis). The
+  // dive heuristic and the Benders master session — both strictly
+  // sequential — do keep theirs.
+  if (!sess.has_value()) {
+    SimplexOptions lane_lp = opts.lp;
+    lane_lp.keep_factors = false;
+    sess.emplace(base, lane_lp);
   }
+  if (sh.cuts != nullptr) {
+    // Permanent lane sync, at frame depth 0: rows other lanes pooled since
+    // this lane's last node join the lane model for good. Cuts are
+    // globally valid, so bounds of nodes evaluated earlier remain valid
+    // relaxations — they merely lacked these rows.
+    auto fresh_rows = sh.cuts->fetch_new(pool_version);
+    for (Rowdef& r : fresh_rows) sess->add_cut(std::move(r));
+  }
+  sess->push();
+  for (const auto& [var, lo, hi] : node.fixes) sess->set_bounds(var, lo, hi);
+  sess->set_warm_basis(node.warm);
+  const LpResult* lp_ptr = &sess->solve();
+  if (lp_ptr->status == LpStatus::InvalidBasis) {
+    // Defensive: a stale externally supplied warm basis (only reachable
+    // via MilpOptions::warm_start) must not kill the node — drop it and
+    // re-solve cold, matching the pre-session silent-fallback contract for
+    // the tree search (plain solve_lp callers get the error).
+    sess->clear_basis();
+    lp_ptr = &sess->solve();
+  }
+  SharedBasis child_basis = sess->basis();  // one handle for both children
   // Pseudocost observation from the real child evaluation: this node IS
   // one side of its parent's branching, and its (pre-separation) LP bound
   // delta is the ground truth the strong-branching probes only estimate.
@@ -587,21 +560,17 @@ bool evaluate_node(BnbShared& sh, Node& node,
       sh.pc.observe_down(node.branch_var, delta, node.branch_frac);
     }
   }
-  const LpModel& node_model =
-      opts.copy_node_models ? *copy_model : sess->model();
   long probe_iters = 0;
   int frac = -1;
   if (lp_ptr->status == LpStatus::Optimal) {
-    frac = choose_branch(sh, node_model, *lp_ptr, child_basis, probe_iters);
-    if (frac < 0 && !opts.copy_node_models &&
-        std::getenv("OVNES_MILP_DEBUG") != nullptr &&
+    frac = choose_branch(sh, sess->model(), *lp_ptr, child_basis, probe_iters);
+    if (frac < 0 && std::getenv("OVNES_MILP_DEBUG") != nullptr &&
         sess->model().max_violation(lp_ptr->x) > 1e-5) {
       debug_integral_violation(sess->model(), opts, *lp_ptr);
     }
   }
 
-  // ---- Lazy separation (session path only; copy_node_models is forced
-  // off when lazy_cuts is set). Cuts are appended *in-frame*: they steer
+  // ---- Lazy separation. Cuts are appended *in-frame*: they steer
   // this node's re-solves and vanish at pop(); the permanent copy reaches
   // every lane (this one included) through the pool sync above. Each
   // re-solve starts from the previous optimal basis, i.e. the add_cut
@@ -609,8 +578,7 @@ bool evaluate_node(BnbShared& sh, Node& node,
   bool sep_dropped = false;
   long sep_rounds = 0, sep_new = 0, sep_pool = 0, sep_resolves = 0;
   long extra_lp_iters = 0;
-  if (sh.cuts != nullptr && !opts.copy_node_models &&
-      lp_ptr->status == LpStatus::Optimal) {
+  if (sh.cuts != nullptr && lp_ptr->status == LpStatus::Optimal) {
     const auto resolve = [&] {
       extra_lp_iters += lp_ptr->iterations;  // bank the superseded solve
       ++sep_resolves;
@@ -753,7 +721,7 @@ bool evaluate_node(BnbShared& sh, Node& node,
   }
   // Close the node's delta frame: bounds return to the root box and the
   // lane session is ready for the next (possibly unrelated) node.
-  if (!opts.copy_node_models && sess.has_value()) sess->pop();
+  sess->pop();
   return keep_going;
 }
 
@@ -848,12 +816,7 @@ class BranchAndBound {
   MilpResult run() {
     MilpResult res;
     const auto t0 = std::chrono::steady_clock::now();
-    if (opts_.lazy_cuts) {
-      // Lazy separation needs the session path's permanent lane-level cut
-      // sync; the copy path has no per-lane model to sync cuts into.
-      opts_.copy_node_models = false;
-      if (opts_.cut_pool == nullptr) owned_pool_.emplace();
-    }
+    if (opts_.lazy_cuts && opts_.cut_pool == nullptr) owned_pool_.emplace();
     auto sh = std::make_shared<BnbShared>();
     sh->base = &base_;
     sh->opts = opts_;
@@ -920,7 +883,6 @@ class BranchAndBound {
     std::size_t lanes = opts_.threads > 0
                             ? static_cast<std::size_t>(opts_.threads)
                             : pool.size();
-    if (opts_.copy_node_models) lanes = 1;
     for (std::size_t l = 1; l < lanes; ++l) {
       pool.post([sh] { bnb_lane(sh); });
     }

@@ -141,8 +141,7 @@ struct MilpResult {
 /// and `pool` select the parallel lane count (serial and parallel runs
 /// report the same objective); `lp` is forwarded to every node's LP
 /// re-solve. Lane sessions force SimplexOptions::keep_factors off so a
-/// node's result stays a pure function of (bounds, warm basis) — the
-/// delta-vs-copy identical-tree guarantee.
+/// node's result stays a pure function of (bounds, warm basis).
 struct MilpOptions {
   long max_nodes = 200000;
   double time_limit_sec = 60.0;
@@ -199,13 +198,6 @@ struct MilpOptions {
   /// Pool supplying the extra lanes (not owned); nullptr uses
   /// exec::ThreadPool::global(). Tests inject a local pool here.
   exec::ThreadPool* pool = nullptr;
-  /// Copy the whole model per node instead of applying/undoing bound
-  /// deltas on a per-lane working model. The pre-delta behaviour, kept so
-  /// bench_solver_micro can report the node-throughput delta and as a
-  /// debugging fallback; forces threads = 1 semantics per copy. Ignored
-  /// (forced off) when lazy_cuts is set — lazy separation needs the
-  /// session path's permanent lane-level cut sync.
-  bool copy_node_models = false;
   /// Lazy-constraint hook (single-tree Branch-and-Benders-cut): when set,
   /// every integer-feasible candidate is offered to the callback and
   /// accepted as incumbent only if separation returns no violated row.

@@ -6,7 +6,6 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <memory>
 
 #include "solver/basis_lu.hpp"
 #include "solver/sparse.hpp"
@@ -46,8 +45,7 @@ class Simplex {
     // Per-solve kernel counters: diff against the entry snapshot (a kept
     // kernel accumulates across session solves).
     const auto fill_kernel_stats = [&] {
-      if (kernel_ == nullptr) return;
-      const KernelStats ks = kernel_->stats();
+      const KernelStats ks = kernel_.stats();
       res.factor_nnz = ks.factor_nnz;
       res.fill_ratio = ks.fill_ratio;
       res.kernel_solves = ks.solves - kstats0_.solves;
@@ -66,8 +64,7 @@ class Simplex {
         // every FTRAN/BTRAN of the next solve's pivots. Amortized this is
         // one factorization per ~budget/2 updates — the same rate the
         // in-loop eta limit would force, but the next re-solve starts lean.
-        if (kernel_ != nullptr &&
-            2 * kernel_->updates_since_factorize() >= kernel_max_updates_ &&
+        if (2 * kernel_.updates_since_factorize() >= kernel_max_updates_ &&
             !factorize_current_basis()) {
           // A singular refactorization of a basis that just solved to
           // optimality means the factors have drifted badly; hand back
@@ -76,7 +73,6 @@ class Simplex {
           kept_->dse_weights.clear();
           fill_kernel_stats();
           kept_->kernel = std::move(kernel_);
-          kept_->dense = opts_.dense_basis_inverse;
           res.refactorizations = refactorizations_;
           return res;
         }
@@ -103,7 +99,6 @@ class Simplex {
       }
       fill_kernel_stats();
       kept_->kernel = std::move(kernel_);
-      kept_->dense = opts_.dense_basis_inverse;
       res.refactorizations = refactorizations_;
     } else {
       fill_kernel_stats();
@@ -144,7 +139,7 @@ class Simplex {
             res.used_dual_simplex = res.iterations > before;
             // The dual loop's weights describe the restored basis; they
             // stay carriable unless Phase 2 pivots again.
-            dse_valid_ = opts_.dual_steepest_edge;
+            dse_valid_ = true;
             break;
           case DualOutcome::NotDualFeasible:
             // Untouched basis (only duals were priced); hand it to the
@@ -373,20 +368,15 @@ class Simplex {
       kopts.max_etas = std::max(kopts.max_etas, std::max(8, m_ / 2));
     }
     kernel_max_updates_ = kopts.max_etas;
-    if (kept_ != nullptr && kept_->kernel != nullptr &&
-        kept_->dense == opts_.dense_basis_inverse) {
-      // Recycle the session's live kernel: its state is adopted verbatim
-      // when the warm basis matches (adopt_kept_factors), and otherwise
-      // the first factorize resizes it — either way the allocation and,
-      // when possible, the factors survive across solves.
-      kernel_ = std::move(kept_->kernel);
-      kernel_->set_options(kopts);
-    } else {
-      kernel_ = make_basis_kernel(m_, opts_.dense_basis_inverse, kopts);
-    }
+    // Recycle the session's live kernel: its state is adopted verbatim when
+    // the warm basis matches (adopt_kept_factors), and otherwise the first
+    // factorize resizes it — either way the allocation and, when possible,
+    // the factors survive across solves.
+    if (kept_ != nullptr) kernel_ = std::move(kept_->kernel);
+    kernel_.set_options(kopts);
     // Snapshot the kernel's cumulative counters so this solve can report
     // its own share (a kept kernel accumulates across session solves).
-    kstats0_ = kernel_->stats();
+    kstats0_ = kernel_.stats();
     for (int i = 0; i < m_; ++i) {
       const int aj = n_ + m_ + i;
       lb_[static_cast<size_t>(aj)] = 0.0;
@@ -519,7 +509,7 @@ class Simplex {
     if (kept_ == nullptr || kept_->basis_order.empty()) return false;
     if (kept_->num_vars != n_ || kept_->num_rows > m_) return false;
     if (warm.num_rows != kept_->num_rows) return false;
-    if (kernel_ == nullptr || kernel_->dim() != kept_->num_rows) return false;
+    if (kernel_.dim() != kept_->num_rows) return false;
     const int k = kept_->num_rows;
     for (int i = 0; i < k; ++i) {
       const int v = kept_->basis_order[static_cast<size_t>(i)];
@@ -552,10 +542,10 @@ class Simplex {
           const int s = slot_of[static_cast<size_t>(c.var)];
           if (s >= 0) border.emplace_back(s, c.value);
         }
-        if (!kernel_->append_row(border)) {
-          // Update budget exhausted (or the dense reference kernel):
-          // refactorize once at the full dimension, keeping the kept slot
-          // order so the adoption still succeeds.
+        if (!kernel_.append_row(border)) {
+          // Update budget exhausted: refactorize once at the full
+          // dimension, keeping the kept slot order so the adoption still
+          // succeeds.
           return factorize_columns(basis_);
         }
       }
@@ -586,7 +576,7 @@ class Simplex {
       bbuf_.close_outer();
     }
     ++refactorizations_;
-    return kernel_->factorize(bbuf_);
+    return kernel_.factorize(bbuf_);
   }
 
   /// Refactorize from the current basis_ (after an eta-file overflow, a
@@ -628,7 +618,7 @@ class Simplex {
       // from one BTRAN of the unit vector e_worst.
       std::fill(w_.begin(), w_.end(), 0.0);
       w_[static_cast<size_t>(worst)] = 1.0;
-      kernel_->btran(w_);
+      kernel_.btran(w_);
       int r = -1;
       double mag = opts_.pivot_tol;
       for (int rr = 0; rr < m_; ++rr) {
@@ -641,13 +631,13 @@ class Simplex {
       // w = B^{-1}·(art_sign_r·e_r), then a regular basis change.
       std::fill(w_.begin(), w_.end(), 0.0);
       w_[static_cast<size_t>(r)] = art_sign_[static_cast<size_t>(r)];
-      kernel_->ftran(w_);
+      kernel_.ftran(w_);
       status_[static_cast<size_t>(bv)] = below ? VarStatus::AtLower : VarStatus::AtUpper;
       const int aj = n_ + m_ + r;
       basis_[static_cast<size_t>(worst)] = aj;
       status_[static_cast<size_t>(aj)] = VarStatus::Basic;
       ++pivots_;
-      if (!kernel_->update(w_, worst) && !factorize_current_basis()) return -1;
+      if (!kernel_.update(w_, worst) && !factorize_current_basis()) return -1;
       ++swaps;
       refresh_basics();
       if (xb_[static_cast<size_t>(worst)] < 0.0 &&
@@ -668,7 +658,7 @@ class Simplex {
     std::fill(w_.begin(), w_.end(), 0.0);
     w_[static_cast<size_t>(pos)] = -1.0;
     ++pivots_;
-    if (!kernel_->update(w_, pos) && !factorize_current_basis()) return false;
+    if (!kernel_.update(w_, pos) && !factorize_current_basis()) return false;
     xb_[static_cast<size_t>(pos)] = -xb_[static_cast<size_t>(pos)];
     return true;
   }
@@ -700,15 +690,14 @@ class Simplex {
 
   /// Restore primal feasibility of the adopted warm basis with dual
   /// simplex pivots: pick the leaving basic by dual steepest-edge pricing
-  /// (violation²/β with Forrest–Goldfarb reference weights; plain
-  /// most-violated when SimplexOptions::dual_steepest_edge is off), price
-  /// pivot row r of B^{-1}N (one BTRAN of e_r plus sparse dots), and
-  /// enter the column whose reduced cost reaches zero first
-  /// (bounded-variable dual ratio test) so every reduced cost stays on
-  /// its feasible side. Applicable only when the basis is
-  /// dual-feasible under the phase-2 costs — exactly the state a Benders
-  /// cut append or a branched bound leaves behind; each pivot then makes
-  /// progress on the true objective instead of an artificial surrogate.
+  /// (violation²/β with Forrest–Goldfarb reference weights), price pivot
+  /// row r of B^{-1}N (one BTRAN of e_r plus a sparse gather), and enter
+  /// the column whose reduced cost reaches zero first (bounded-variable
+  /// dual ratio test) so every reduced cost stays on its feasible side.
+  /// Applicable only when the basis is dual-feasible under the phase-2
+  /// costs — exactly the state a Benders cut append or a branched bound
+  /// leaves behind; each pivot then makes progress on the true objective
+  /// instead of an artificial surrogate.
   ///
   /// Returns Restored once every basic value is inside its bounds (the
   /// subsequent primal Phase 2 certifies optimality, normally in zero
@@ -727,17 +716,14 @@ class Simplex {
     set_phase2_costs();
     freeze_nonbasic_artificials();
 
-    const bool dse = opts_.dual_steepest_edge;
-
-    // Dual-feasibility precondition over the nonbasic columns. With DSE
-    // the same pass seeds the cached reduced costs, which are then
-    // maintained *incrementally* per pivot (y' = y + γρ_r with γ = d_q/α_r
-    // ⇒ d_j' = d_j − γα_j, using the pivot-row alphas the ratio test just
+    // Dual-feasibility precondition over the nonbasic columns. The same
+    // pass seeds the cached reduced costs, which are then maintained
+    // *incrementally* per pivot (y' = y + γρ_r with γ = d_q/α_r ⇒
+    // d_j' = d_j − γα_j, using the pivot-row alphas the ratio test just
     // computed) instead of re-BTRANing the duals every iteration — the
-    // classic production-solver dual loop. The legacy (dse = false) loop
-    // below recomputes both per pivot, byte-faithful to the PR 4 path.
+    // classic production-solver dual loop.
     compute_duals();
-    if (dse) dvals_.assign(static_cast<size_t>(n_ + m_), 0.0);
+    dvals_.assign(static_cast<size_t>(n_ + m_), 0.0);
     gather_structural(y_);  // galpha_[j] = y·A_j, summed like dot_column
     for (int j = 0; j < n_ + m_; ++j) {
       if (status_[static_cast<size_t>(j)] == VarStatus::Basic) continue;
@@ -746,7 +732,7 @@ class Simplex {
           cost_[static_cast<size_t>(j)] -
           (j < n_ ? galpha_[static_cast<size_t>(j)]
                   : y_[static_cast<size_t>(j - n_)]);
-      if (dse) dvals_[static_cast<size_t>(j)] = d;
+      dvals_[static_cast<size_t>(j)] = d;
       if (status_[static_cast<size_t>(j)] == VarStatus::AtLower
               ? d < -opts_.opt_tol
               : d > opts_.opt_tol) {
@@ -756,37 +742,33 @@ class Simplex {
 
     // Dual steepest-edge reference weights β_i ≈ ‖e_iᵀB⁻¹‖²: initialized
     // to the reference framework (all ones) — or, on a kept-factor
-    // re-solve with carry_dse_weights, to the weights the previous solve
-    // handed back for exactly this basis (appended border slots start at
-    // the reference weight) — and updated *exactly* per pivot
-    // (Forrest–Goldfarb), so their accuracy is independent of
-    // refactorizations. Inexact weights can only degrade the row choice,
-    // never correctness.
-    if (dse) {
-      dse_.assign(static_cast<size_t>(m_), 1.0);
-      if (opts_.carry_dse_weights && adopted_kept_ && kept_ != nullptr &&
-          static_cast<int>(kept_->dse_weights.size()) == adopt_rows_ &&
-          adopt_rows_ > 0) {
-        // Re-anchor the carried framework at 1 before resuming: the Devex
-        // update only ever grows weights (max-rule), so weights inherited
-        // across many re-solves inflate uniformly; dividing by the
-        // smallest carried weight keeps the relative edge-norm
-        // information — the part that steers row choice — while pushing
-        // the 1e6 framework-reset horizon back out.
-        double wmin = kept_->dse_weights.front();
-        for (const double w : kept_->dse_weights) wmin = std::min(wmin, w);
-        if (wmin < 1.0) wmin = 1.0;
-        for (int i = 0; i < adopt_rows_; ++i) {
-          dse_[static_cast<size_t>(i)] = std::max(
-              kept_->dse_weights[static_cast<size_t>(i)] / wmin, 1.0);
-        }
+    // re-solve, to the weights the previous solve handed back for exactly
+    // this basis (appended border slots start at the reference weight) —
+    // and updated *exactly* per pivot (Forrest–Goldfarb), so their
+    // accuracy is independent of refactorizations. Inexact weights can
+    // only degrade the row choice, never correctness.
+    dse_.assign(static_cast<size_t>(m_), 1.0);
+    if (adopted_kept_ && kept_ != nullptr &&
+        static_cast<int>(kept_->dse_weights.size()) == adopt_rows_ &&
+        adopt_rows_ > 0) {
+      // Re-anchor the carried framework at 1 before resuming: the Devex
+      // update only ever grows weights (max-rule), so weights inherited
+      // across many re-solves inflate uniformly; dividing by the smallest
+      // carried weight keeps the relative edge-norm information — the part
+      // that steers row choice — while pushing the 1e6 framework-reset
+      // horizon back out.
+      double wmin = kept_->dse_weights.front();
+      for (const double w : kept_->dse_weights) wmin = std::min(wmin, w);
+      if (wmin < 1.0) wmin = 1.0;
+      for (int i = 0; i < adopt_rows_; ++i) {
+        dse_[static_cast<size_t>(i)] = std::max(
+            kept_->dse_weights[static_cast<size_t>(i)] / wmin, 1.0);
       }
     }
 
     // Re-seed y_ and the cached reduced costs after a refactorization or
     // refresh: the incremental updates restart from certified values.
     const auto reprice = [&] {
-      if (!dse) return;
       compute_duals();
       gather_structural(y_);
       for (int j = 0; j < n_ + m_; ++j) {
@@ -801,9 +783,8 @@ class Simplex {
     int degenerate_streak = 0;
     bool bland = false;
     for (int iter = 0; iter < opts_.max_iterations; ++iter) {
-      // --- Leaving row. With DSE: the basic whose bound violation is
-      // steepest in the dual norm (violation² / β); plain mode: the worst
-      // absolute violation.
+      // --- Leaving row: the basic whose bound violation is steepest in
+      // the dual norm (violation² / β).
       int r = -1;
       double best_score = 0.0;
       bool below = false;
@@ -813,8 +794,7 @@ class Simplex {
         const double hi_v = xb_[static_cast<size_t>(i)] - upper(bv);
         const double viol = std::max(lo_v, hi_v);
         if (viol <= opts_.feas_tol) continue;
-        const double score =
-            dse ? viol * viol / dse_[static_cast<size_t>(i)] : viol;
+        const double score = viol * viol / dse_[static_cast<size_t>(i)];
         if (score > best_score) {
           best_score = score;
           r = i;
@@ -827,123 +807,88 @@ class Simplex {
       const int leaving = basis_[static_cast<size_t>(r)];
       const double target = below ? lower(leaving) : upper(leaving);
 
-      // --- Pivot row r of B^{-1}N (one BTRAN of e_r plus sparse dots).
+      // --- Pivot row r of B^{-1}N (one BTRAN of e_r plus a sparse gather).
       std::fill(rho_.begin(), rho_.end(), 0.0);
       rho_[static_cast<size_t>(r)] = 1.0;
-      kernel_->btran(rho_);
-      if (!dse) compute_duals();  // legacy loop re-derives duals per pivot
+      kernel_.btran(rho_);
 
       // --- Dual ratio test. Eligible columns move x_B[r] toward the
       // violated bound when stepped in their own feasible direction;
       // among them the minimal |d_j|/|alpha_j| keeps dual feasibility.
       // Ties break toward the largest pivot magnitude (stability);
       // under Bland (degeneracy) the smallest index wins instead.
+      //
+      // Sparse row pricing: alpha_j = ρᵀ·a_j for every column at once,
+      // gathered through the model's CSR rows over ρ's nonzeros — O(nnz of
+      // the rows ρ touches), not a dot product per nonbasic column. Slack
+      // alphas are ρ's own entries. The candidate scan runs in ascending
+      // column order (structural sorted, then slacks), so Bland's
+      // smallest-index rule sees candidates in index order.
       int q = -1;
       double best_ratio = kInf;
       double best_mag = 0.0;
-      if (dse) {
-        // Sparse row pricing: alpha_j = ρᵀ·a_j for every column at once,
-        // gathered through the model's CSR rows over ρ's nonzeros —
-        // O(nnz of the rows ρ touches), not a dot product per nonbasic
-        // column. Slack alphas are ρ's own entries. Gather order
-        // (ascending row) matches dot_column term-for-term, and the
-        // candidate scan below runs in ascending column order (structural
-        // sorted, then slacks), so pivot choice — including Bland's
-        // smallest-index rule — is unchanged from the dense scan.
-        scan_.clear();
-        touched_.clear();
-        for (int i = 0; i < m_; ++i) {
-          const double ri = rho_[static_cast<size_t>(i)];
-          if (ri == 0.0) continue;
-          for (const Coef& c : model_.row(i).coefs) {
-            if (!amark_[static_cast<size_t>(c.var)]) {
-              amark_[static_cast<size_t>(c.var)] = 1;
-              touched_.push_back(c.var);
-            }
-            alpha_[static_cast<size_t>(c.var)] += ri * c.value;
+      scan_.clear();
+      touched_.clear();
+      for (int i = 0; i < m_; ++i) {
+        const double ri = rho_[static_cast<size_t>(i)];
+        if (ri == 0.0) continue;
+        for (const Coef& c : model_.row(i).coefs) {
+          if (!amark_[static_cast<size_t>(c.var)]) {
+            amark_[static_cast<size_t>(c.var)] = 1;
+            touched_.push_back(c.var);
           }
+          alpha_[static_cast<size_t>(c.var)] += ri * c.value;
         }
-        std::sort(touched_.begin(), touched_.end());
-        const auto consider = [&](int j, double alpha) {
-          if (status_[static_cast<size_t>(j)] == VarStatus::Basic) return;
-          if (lower(j) == upper(j)) return;
-          if (std::abs(alpha) <= opts_.pivot_tol) return;
-          // Every nonbasic with a live pivot-row entry joins the d-update
-          // set, eligible for entering or not: its reduced cost moves
-          // either way when y steps along rho_.
-          scan_.emplace_back(j, alpha);
-          const double dir =
-              status_[static_cast<size_t>(j)] == VarStatus::AtLower ? 1.0
-                                                                    : -1.0;
-          // x_B[r] changes by -alpha*dir*t with t >= 0: require an
-          // increase when below the lower bound, a decrease when above
-          // the upper.
-          const double eff = alpha * dir;
-          if (below ? eff >= -opts_.pivot_tol : eff <= opts_.pivot_tol) {
-            return;
-          }
-          if (bland) {  // first (smallest) eligible index
-            if (q < 0) q = j;
-            return;  // keep scanning to complete the update set
-          }
-          const double d = dvals_[static_cast<size_t>(j)];
-          const double ratio =
-              std::max(0.0, dir > 0.0 ? d : -d) / std::abs(alpha);
-          if (ratio < best_ratio - 1e-12 ||
-              (ratio < best_ratio + 1e-12 && std::abs(alpha) > best_mag)) {
-            best_ratio = ratio;
-            best_mag = std::abs(alpha);
-            q = j;
-          }
-        };
-        for (const int j : touched_) {
-          consider(j, alpha_[static_cast<size_t>(j)]);
+      }
+      std::sort(touched_.begin(), touched_.end());
+      const auto consider = [&](int j, double alpha) {
+        if (status_[static_cast<size_t>(j)] == VarStatus::Basic) return;
+        if (lower(j) == upper(j)) return;
+        if (std::abs(alpha) <= opts_.pivot_tol) return;
+        // Every nonbasic with a live pivot-row entry joins the d-update
+        // set, eligible for entering or not: its reduced cost moves either
+        // way when y steps along rho_.
+        scan_.emplace_back(j, alpha);
+        const double dir =
+            status_[static_cast<size_t>(j)] == VarStatus::AtLower ? 1.0
+                                                                  : -1.0;
+        // x_B[r] changes by -alpha*dir*t with t >= 0: require an increase
+        // when below the lower bound, a decrease when above the upper.
+        const double eff = alpha * dir;
+        if (below ? eff >= -opts_.pivot_tol : eff <= opts_.pivot_tol) {
+          return;
         }
-        for (int i = 0; i < m_; ++i) {
-          if (rho_[static_cast<size_t>(i)] == 0.0) continue;
-          consider(n_ + i, rho_[static_cast<size_t>(i)]);
+        if (bland) {  // first (smallest) eligible index
+          if (q < 0) q = j;
+          return;  // keep scanning to complete the update set
         }
-        for (const int j : touched_) {
-          alpha_[static_cast<size_t>(j)] = 0.0;
-          amark_[static_cast<size_t>(j)] = 0;
+        const double d = dvals_[static_cast<size_t>(j)];
+        const double ratio =
+            std::max(0.0, dir > 0.0 ? d : -d) / std::abs(alpha);
+        if (ratio < best_ratio - 1e-12 ||
+            (ratio < best_ratio + 1e-12 && std::abs(alpha) > best_mag)) {
+          best_ratio = ratio;
+          best_mag = std::abs(alpha);
+          q = j;
         }
-      } else {
-        // Legacy loop (PR 4 behaviour, kept byte-for-byte for A/B):
-        // re-derive duals and price every nonbasic column with a dot.
-        for (int j = 0; j < n_ + m_; ++j) {
-          if (status_[static_cast<size_t>(j)] == VarStatus::Basic) continue;
-          if (lower(j) == upper(j)) continue;
-          const double alpha = dot_column(j, rho_);
-          if (std::abs(alpha) <= opts_.pivot_tol) continue;
-          const double dir =
-              status_[static_cast<size_t>(j)] == VarStatus::AtLower ? 1.0
-                                                                    : -1.0;
-          const double eff = alpha * dir;
-          if (below ? eff >= -opts_.pivot_tol : eff <= opts_.pivot_tol) {
-            continue;
-          }
-          if (bland) {  // first (smallest) eligible index
-            q = j;
-            break;
-          }
-          const double d =
-              cost_[static_cast<size_t>(j)] - dot_column(j, y_);
-          const double ratio =
-              std::max(0.0, dir > 0.0 ? d : -d) / std::abs(alpha);
-          if (ratio < best_ratio - 1e-12 ||
-              (ratio < best_ratio + 1e-12 && std::abs(alpha) > best_mag)) {
-            best_ratio = ratio;
-            best_mag = std::abs(alpha);
-            q = j;
-          }
-        }
+      };
+      for (const int j : touched_) {
+        consider(j, alpha_[static_cast<size_t>(j)]);
+      }
+      for (int i = 0; i < m_; ++i) {
+        if (rho_[static_cast<size_t>(i)] == 0.0) continue;
+        consider(n_ + i, rho_[static_cast<size_t>(i)]);
+      }
+      for (const int j : touched_) {
+        alpha_[static_cast<size_t>(j)] = 0.0;
+        amark_[static_cast<size_t>(j)] = 0;
       }
       if (q < 0) return DualOutcome::Abandoned;  // primal infeasible or
                                                  // numerically stuck
 
       // --- FTRAN the entering column and pivot at row r.
       load_column(q, w_);
-      kernel_->ftran(w_);
+      kernel_.ftran(w_);
       const double piv = w_[static_cast<size_t>(r)];
       if (std::abs(piv) <= opts_.pivot_tol) {
         // The rho-based pricing and the FTRAN disagree on the pivot:
@@ -965,50 +910,48 @@ class Simplex {
         bland = false;
       }
 
-      if (dse) {
-        // Reference-weight (Devex) update of the steepest-edge weights
-        // (Forrest–Goldfarb): with α = w_ = B⁻¹a_q and pivot α_r,
-        //   β_r' = max(β_r/α_r², 1),
-        //   β_i' = max(β_i, (α_i/α_r)²·β_r)   for α_i ≠ 0,
-        // approximating ‖e_iᵀB⁻¹‖² against the reference framework the
-        // weights were last reset in — no extra FTRAN per pivot (the
-        // exact update needs τ = B⁻¹ρ, a second dense solve that costs
-        // more than the sharper row choice buys back; the profile shows
-        // FTRANs dominating the dual loop). When the row weight outgrows
-        // the framework by 1e6 the weights reset to 1 (fresh framework).
-        const double beta_r = dse_[static_cast<size_t>(r)];
-        const double beta_r_new = std::max(beta_r / (piv * piv), 1.0);
-        if (beta_r_new > 1e6) {
-          std::fill(dse_.begin(), dse_.end(), 1.0);
-        } else {
-          for (int i = 0; i < m_; ++i) {
-            if (i == r) continue;
-            const double ai = w_[static_cast<size_t>(i)];
-            if (ai == 0.0) continue;
-            const double ratio = ai / piv;
-            const double cand_w = ratio * ratio * beta_r;
-            if (cand_w > dse_[static_cast<size_t>(i)]) {
-              dse_[static_cast<size_t>(i)] = cand_w;
-            }
-          }
-          dse_[static_cast<size_t>(r)] = beta_r_new;
-        }
-
-        // Incremental dual step: y' = y + γρ_r zeroes the entering
-        // column's reduced cost; every scanned nonbasic moves by −γα_j,
-        // the leaving variable lands at −γ (its pivot-row alpha is 1).
-        const double gamma = dvals_[static_cast<size_t>(q)] / piv;
-        if (gamma != 0.0) {
-          for (int i = 0; i < m_; ++i) {
-            y_[static_cast<size_t>(i)] += gamma * rho_[static_cast<size_t>(i)];
-          }
-          for (const auto& [j, alpha] : scan_) {
-            dvals_[static_cast<size_t>(j)] -= gamma * alpha;
+      // Reference-weight (Devex) update of the steepest-edge weights
+      // (Forrest–Goldfarb): with α = w_ = B⁻¹a_q and pivot α_r,
+      //   β_r' = max(β_r/α_r², 1),
+      //   β_i' = max(β_i, (α_i/α_r)²·β_r)   for α_i ≠ 0,
+      // approximating ‖e_iᵀB⁻¹‖² against the reference framework the
+      // weights were last reset in — no extra FTRAN per pivot (the exact
+      // update needs τ = B⁻¹ρ, a second dense solve that costs more than
+      // the sharper row choice buys back; the profile shows FTRANs
+      // dominating the dual loop). When the row weight outgrows the
+      // framework by 1e6 the weights reset to 1 (fresh framework).
+      const double beta_r = dse_[static_cast<size_t>(r)];
+      const double beta_r_new = std::max(beta_r / (piv * piv), 1.0);
+      if (beta_r_new > 1e6) {
+        std::fill(dse_.begin(), dse_.end(), 1.0);
+      } else {
+        for (int i = 0; i < m_; ++i) {
+          if (i == r) continue;
+          const double ai = w_[static_cast<size_t>(i)];
+          if (ai == 0.0) continue;
+          const double ratio = ai / piv;
+          const double cand_w = ratio * ratio * beta_r;
+          if (cand_w > dse_[static_cast<size_t>(i)]) {
+            dse_[static_cast<size_t>(i)] = cand_w;
           }
         }
-        dvals_[static_cast<size_t>(leaving)] = -gamma;
-        dvals_[static_cast<size_t>(q)] = 0.0;
+        dse_[static_cast<size_t>(r)] = beta_r_new;
       }
+
+      // Incremental dual step: y' = y + γρ_r zeroes the entering column's
+      // reduced cost; every scanned nonbasic moves by −γα_j, the leaving
+      // variable lands at −γ (its pivot-row alpha is 1).
+      const double gamma = dvals_[static_cast<size_t>(q)] / piv;
+      if (gamma != 0.0) {
+        for (int i = 0; i < m_; ++i) {
+          y_[static_cast<size_t>(i)] += gamma * rho_[static_cast<size_t>(i)];
+        }
+        for (const auto& [j, alpha] : scan_) {
+          dvals_[static_cast<size_t>(j)] -= gamma * alpha;
+        }
+      }
+      dvals_[static_cast<size_t>(leaving)] = -gamma;
+      dvals_[static_cast<size_t>(q)] = 0.0;
 
       for (int i = 0; i < m_; ++i) {
         xb_[static_cast<size_t>(i)] -= dirq * t * w_[static_cast<size_t>(i)];
@@ -1020,15 +963,15 @@ class Simplex {
       status_[static_cast<size_t>(q)] = VarStatus::Basic;
       xb_[static_cast<size_t>(r)] = xq_new;
       ++pivots_;
-      if (!kernel_->update(w_, r)) {
+      if (!kernel_.update(w_, r)) {
         if (!factorize_current_basis()) return DualOutcome::Abandoned;
         refresh_basics();
         reprice();
       }
 
       if ((iter + 1) % opts_.refresh_interval == 0) {
-        // Same periodic drift control as the primal loop; the DSE path
-        // also re-certifies its incrementally maintained duals here.
+        // Same periodic drift control as the primal loop, which also
+        // re-certifies the incrementally maintained duals.
         std::vector<double> saved = xb_;
         refresh_basics();
         double drift = 0.0;
@@ -1064,7 +1007,7 @@ class Simplex {
       y_[static_cast<size_t>(k)] =
           cost_[static_cast<size_t>(basis_[static_cast<size_t>(k)])];
     }
-    kernel_->btran(y_);
+    kernel_.btran(y_);
   }
 
   /// Recompute x_B = B^{-1}(b - N x_N) from scratch (drift control).
@@ -1086,7 +1029,7 @@ class Simplex {
             art_sign_[static_cast<size_t>(j - n_ - m_)] * xv;
       }
     }
-    kernel_->ftran(rhs);
+    kernel_.ftran(rhs);
     xb_ = std::move(rhs);
   }
 
@@ -1133,7 +1076,7 @@ class Simplex {
 
       // --- FTRAN: w = B^{-1} A_q.
       load_column(q, w_);
-      kernel_->ftran(w_);
+      kernel_.ftran(w_);
 
       // --- Ratio test. Ties are normally broken toward the largest pivot
       // magnitude (numerical stability); under Bland's rule they must be
@@ -1203,10 +1146,9 @@ class Simplex {
         continue;
       }
 
-      // --- Pivot: hand w to the kernel (eta append for LU, Gauss-Jordan
-      // pivot for the dense reference). When the kernel declines — eta file
-      // full or pivot too small relative to ||w||_inf — refactorize from
-      // the updated basis columns instead.
+      // --- Pivot: hand w to the kernel as an eta update. When the kernel
+      // declines — eta file full or pivot too small relative to
+      // ||w||_inf — refactorize from the updated basis columns instead.
       const double piv = w_[static_cast<size_t>(leave)];
       if (std::abs(piv) < opts_.pivot_tol) return LpStatus::IterationLimit;
       const int leaving_var = basis_[static_cast<size_t>(leave)];
@@ -1216,7 +1158,7 @@ class Simplex {
       xb_[static_cast<size_t>(leave)] = xq_new;
       ++pivots_;
       dse_valid_ = false;  // primal pivot: dual edge norms now stale
-      if (!kernel_->update(w_, leave)) {
+      if (!kernel_.update(w_, leave)) {
         if (!factorize_current_basis()) return LpStatus::IterationLimit;
         refresh_basics();
       }
@@ -1270,7 +1212,7 @@ class Simplex {
       // pivot element w_ij = (B^{-1} A_j)_i as a sparse dot product.
       std::fill(w_.begin(), w_.end(), 0.0);
       w_[static_cast<size_t>(i)] = 1.0;
-      kernel_->btran(w_);
+      kernel_.btran(w_);
       int pick = -1;
       double pick_mag = 1e-7;  // require a well-conditioned pivot
       for (int j = 0; j < n_ + m_; ++j) {
@@ -1285,7 +1227,7 @@ class Simplex {
       if (pick >= 0) {
         // Degenerate pivot: artificial leaves at value 0.
         load_column(pick, w_);
-        kernel_->ftran(w_);
+        kernel_.ftran(w_);
         const double piv = w_[static_cast<size_t>(i)];
         status_[static_cast<size_t>(bv)] = VarStatus::AtLower;
         basis_[static_cast<size_t>(i)] = pick;
@@ -1299,7 +1241,7 @@ class Simplex {
         // phase 1); the entering variable moves by keep/piv off its bound.
         xb_[static_cast<size_t>(i)] = nonbasic_value(pick) + keep / piv;
         ++pivots_;
-        if (!kernel_->update(w_, i) && !factorize_current_basis()) {
+        if (!kernel_.update(w_, i) && !factorize_current_basis()) {
           return false;
         }
       }
@@ -1408,11 +1350,11 @@ class Simplex {
   std::vector<double> art_sign_;
   std::vector<int> basis_;
   std::vector<double> xb_;
-  std::unique_ptr<BasisKernel> kernel_;  ///< LU/eta (default) or dense B^{-1}
+  BasisLu kernel_;  ///< sparse LU + eta/border update file
   std::vector<double> y_, w_;
   std::vector<double> rho_;  ///< dual pivot row buffer (B^{-T} e_r)
   std::vector<double> dse_;  ///< dual steepest-edge weights (per row slot)
-  std::vector<double> dvals_;  ///< cached reduced costs (DSE incremental path)
+  std::vector<double> dvals_;  ///< cached reduced costs (dual loop)
   std::vector<std::pair<int, double>> scan_;  ///< (j, alpha) d-update set
   std::vector<double> galpha_;  ///< Aᵀ·vec gather buffer (pricing)
   std::vector<double> alpha_;   ///< pivot-row gather accumulator (dual loop)

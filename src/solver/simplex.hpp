@@ -1,10 +1,9 @@
 // Two-phase primal simplex for bounded-variable linear programs.
 //
-// Implements the classic revised simplex on top of a pluggable basis
-// factorization kernel (solver/basis_lu.hpp): LU with partial pivoting plus
-// product-form eta updates by default — refactorizing after a bounded number
-// of pivots or on accuracy drift — with the pre-LU explicit dense inverse
-// retained as a test/bench reference. Upper-bounding technique (bound flips
+// Implements the classic revised simplex on top of the sparse LU basis
+// factorization (solver/basis_lu.hpp) with product-form eta updates —
+// refactorizing after a bounded number of pivots or on accuracy drift.
+// Upper-bounding technique (bound flips
 // instead of rows for box constraints), artificial-variable phase 1, Dantzig
 // pricing with a Bland fallback for anti-cycling (including Bland-consistent
 // leaving-variable tie-breaks), and periodic recomputation of the basic
@@ -86,8 +85,7 @@ struct LpResult {
   /// stability / drift triggers). The kept-factors path exists to drive
   /// this to ~0 on cut-round re-solves.
   int refactorizations = 0;
-  /// Sparsity counters from the basis kernel (zeros under the dense
-  /// reference kernel). factor_nnz/fill_ratio describe the most recent
+  /// Sparsity counters from the basis kernel. factor_nnz/fill_ratio describe the most recent
   /// factorization the kernel holds — possibly inherited from a previous
   /// solve on the kept-factors path; the others count this solve only.
   long factor_nnz = 0;       ///< nnz(L)+nnz(U) of the current factors
@@ -101,9 +99,8 @@ struct LpResult {
 ///
 /// The defaults are what the stateless solve_lp entry points use;
 /// LpSession additionally turns on allow_dual (dual-simplex dispatch is
-/// the point of holding a session). keep_factors and dual_steepest_edge
-/// only matter for re-solving callers and exist chiefly so the PR 4
-/// behaviour remains reachable for A/B comparison.
+/// the point of holding a session). keep_factors only matters for
+/// re-solving callers.
 struct SimplexOptions {
   int max_iterations = 50000;
   double feas_tol = 1e-7;    ///< primal feasibility tolerance
@@ -112,35 +109,20 @@ struct SimplexOptions {
   int refresh_interval = 64; ///< recompute x_B from scratch every N pivots
   /// LU kernel: refactorize after this many product-form (eta) updates.
   int refactor_interval = 64;
-  /// Use the explicit dense Gauss-Jordan B^{-1} instead of the LU/eta
-  /// kernel. O(m^2) per pivot and O(m^3) per factorization — retained only
-  /// as a cross-check reference for tests and benchmarks.
-  bool dense_basis_inverse = false;
   /// When a warm basis is adopted but primal-infeasible (a violated cut
   /// row, a branched bound) AND still dual-feasible, restore feasibility
   /// with dual simplex pivots instead of the artificial-repair Phase 1.
   /// Each dual pivot makes progress on the true objective, so cut
   /// re-solves converge in far fewer iterations. Off by default for the
   /// plain solve_lp entry points (PR 3 behaviour); LpSession turns it on.
+  ///
+  /// The dual loop prices the leaving row by dual steepest edge —
+  /// violation²/β with β ≈ ‖eᵣᵀB⁻¹‖² maintained per pivot in the
+  /// Forrest–Goldfarb reference-weight (Devex) approximation — and keeps
+  /// duals/reduced costs incrementally. A re-solve that adopts kept
+  /// factors resumes from the weights the previous solve handed back
+  /// (BasisFactors::dse_weights).
   bool allow_dual = false;
-  /// Dual loop row pricing: pick the leaving row by steepest edge in the
-  /// dual norm — violation²/β with β ≈ ‖eᵣᵀB⁻¹‖² maintained per pivot in
-  /// the Forrest–Goldfarb reference-weight (Devex) approximation — instead
-  /// of the plain most-violated row. No extra FTRAN per pivot (the exact
-  /// weight update needs a second dense solve that costs more than its
-  /// sharper row choice buys back on this workload); the same path also
-  /// maintains duals/reduced costs incrementally instead of re-pricing
-  /// every iteration. Entering-column selection keeps the same Bland
-  /// degeneracy fallback. Off restores the PR 4 loop byte-for-byte.
-  bool dual_steepest_edge = true;
-  /// Carry the dual steepest-edge weights across kept-factor re-solves
-  /// (BasisFactors::dse_weights) instead of resetting to the reference
-  /// framework (all ones) each solve. The weights describe ‖eᵢᵀB⁻¹‖² of
-  /// the handed-back basis, so a re-solve that adopts the factors resumes
-  /// pricing where the previous solve left off and spends fewer pivots
-  /// rediscovering the same edge norms. Off reseeds every solve (the PR 5
-  /// behaviour, kept for A/B).
-  bool carry_dse_weights = true;
   /// BasisLu: threshold-Markowitz pivot tolerance — a row qualifies as a
   /// pivot when its magnitude is at least this fraction of its column's
   /// largest; among qualifiers the sparsest row wins (fill control).

@@ -316,8 +316,9 @@ TEST(LpSessionInvalidBasis, StaleRowReferencesReportInvalidBasis) {
 TEST(LpSessionKeptFactors, RefactorizationCountDropsUnderRepeatedAddCut) {
   const int n = 80;
   const auto run_cut_loop = [&](bool keep) {
-    LpSession sess(battery_lp(n, n, 7));
-    sess.set_keep_factors(keep);
+    SimplexOptions opts;
+    opts.keep_factors = keep;
+    LpSession sess(battery_lp(n, n, 7), opts);
     RngStream rng(13);
     const LpResult* r = &sess.solve();
     EXPECT_EQ(r->status, LpStatus::Optimal);
@@ -346,26 +347,25 @@ TEST(LpSessionKeptFactors, RefactorizationCountDropsUnderRepeatedAddCut) {
   EXPECT_GE(rebuild_refacs, 6);
   EXPECT_LT(kept_refacs, rebuild_refacs);
   EXPECT_LT(kept_refacs, 6);
-  // Every re-solve adopted the live factors; the A/B control never does.
+  // Every re-solve adopted the live factors; the rebuild control never does.
   EXPECT_GE(kept_solves, 6);
   EXPECT_EQ(rebuild_kept, 0);
 }
 
 TEST(LpSessionKeptFactors, CarriedDseWeightsStayPivotCompetitive) {
-  // ISSUE 6 satellite: dual steepest-edge weights ride through
-  // BasisFactors across kept-factor re-solves instead of resetting to the
-  // reference framework (all ones) each solve. Both variants are
+  // Dual steepest-edge weights ride through BasisFactors across
+  // kept-factor re-solves. A keep_factors = false session never adopts
+  // kept factors, so its weights reset to the reference framework (all
+  // ones) every solve: that is the baseline. Both variants are
   // deterministic, so the pivot totals below are exact reproducible
-  // numbers, and on this battery the carry is pivot-neutral (within a few
-  // pivots either way per instance — see docs/solver.md for the measured
-  // trade-off). The assertion pins that: carried weights must stay within
-  // a 25% pivot band of the reset baseline across the instance set — a
-  // misaligned carry (weights applied to the wrong slots) degrades DSE
-  // pricing far past that — and every re-solve must still ride the
-  // kept-factors path on both settings.
-  const auto run_cut_loop = [](int n, std::uint64_t seed, bool carry) {
+  // numbers. The assertion pins the carry: carried weights must stay
+  // within a 25% pivot band of the reset baseline across the instance set
+  // — a misaligned carry (weights applied to the wrong slots) degrades
+  // DSE pricing far past that — and every re-solve on the kept path must
+  // ride the kept factors.
+  const auto run_cut_loop = [](int n, std::uint64_t seed, bool keep) {
     SimplexOptions opts;
-    opts.carry_dse_weights = carry;
+    opts.keep_factors = keep;
     LpSession sess(battery_lp(n, n, seed), opts);
     RngStream rng(13);
     const LpResult* r = &sess.solve();
@@ -385,7 +385,9 @@ TEST(LpSessionKeptFactors, CarriedDseWeightsStayPivotCompetitive) {
       EXPECT_EQ(r->status, LpStatus::Optimal) << "cut " << k;
       pivots += r->iterations;
     }
-    EXPECT_GE(sess.stats().kept_solves, 6) << "n=" << n << " carry=" << carry;
+    if (keep) {
+      EXPECT_GE(sess.stats().kept_solves, 6) << "n=" << n;
+    }
     return pivots;
   };
 

@@ -3,9 +3,8 @@
 //    cut-driven incumbent refinement, conservative accounting when a
 //    candidate is repeatedly rejected or separation abandons a node;
 //  * acrr: solve_benders(single_tree=true) agrees with the classic
-//    multi-tree loop on the admission objective (serial and parallel),
-//    reports the cut counters, and the multi-tree inactive-cut purge keeps
-//    admission decisions identical.
+//    multi-tree loop on the admission objective (serial and parallel) and
+//    reports the cut counters.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -270,33 +269,6 @@ TEST(SingleTree, ReportsCutCounters) {
   EXPECT_GE(multi.cuts_separated, 1);
   EXPECT_GE(multi.separation_rounds, 1);
 }
-
-class PurgeRegressionTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(PurgeRegressionTest, PurgeKeepsAdmissionDecisionsIdentical) {
-  RngStream rng(static_cast<uint64_t>(GetParam()) * 911 + 3);
-  Fixture f(/*num_bs=*/2,
-            /*edge=*/rng.uniform(20.0, 60.0),
-            /*core=*/rng.uniform(60.0, 300.0),
-            /*link_cap=*/rng.uniform(150.0, 800.0));
-  const AcrrInstance inst = f.instance(mixed_tenants(5, rng));
-  const AdmissionResult plain = acrr::solve_benders(inst);
-  BendersOptions purge;
-  purge.purge_inactive_cuts = 2;
-  const AdmissionResult purged = acrr::solve_benders(inst, purge);
-  ASSERT_TRUE(plain.optimal);
-  ASSERT_TRUE(purged.optimal);
-  EXPECT_NEAR(purged.objective, plain.objective,
-              1e-6 * (1.0 + std::abs(plain.objective)));
-  ASSERT_EQ(purged.admitted.size(), plain.admitted.size());
-  for (std::size_t t = 0; t < plain.admitted.size(); ++t) {
-    EXPECT_EQ(purged.admitted[t].has_value(), plain.admitted[t].has_value())
-        << "tenant " << t;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomInstances, PurgeRegressionTest,
-                         ::testing::Range(0, 8));
 
 }  // namespace
 }  // namespace ovnes
