@@ -323,10 +323,13 @@ AdmissionResult solve_benders_single_tree(const AcrrInstance& inst,
       return out;
     }
     if (sr.feasible) {
-      // Any feasible slave prices a complete admission: a valid upper
-      // bound whether or not the candidate survives (Algorithm 1 line 12).
+      // A feasible slave at an integral candidate prices a complete
+      // admission: a valid upper bound whether or not the candidate
+      // survives (Algorithm 1 line 12). A fractional root point rounds to
+      // an activation that need not satisfy the master rows, so its price
+      // is no admission's value and must not become the incumbent.
       const double gamma = first_stage_cost(active) + sr.objective;
-      if (gamma < ub) {
+      if (ctx.integral && gamma < ub) {
         ub = gamma;
         best_active = active;
         best_z = sr.z;
@@ -349,7 +352,7 @@ AdmissionResult solve_benders_single_tree(const AcrrInstance& inst,
     // core prices resources this candidate leaves idle. Its cut rarely
     // cuts the candidate itself, so it goes straight to the pool — the
     // permanent lane sync distributes it — instead of the rejection loop.
-    if (opts.magnanti_wong && ctx.integral && core_seen && core != active) {
+    if (ctx.integral && core_seen && core != active) {
       const SlaveResult cr = core_slave.solve(core, deficit, opts.warm_start);
       if (cr.feasible || !cr.cut.coefs.empty() || cr.cut.constant > 0.0) {
         if (pool->add(to_row(cr.cut, "mwcut" + std::to_string(slave_calls)))) {
@@ -376,15 +379,9 @@ AdmissionResult solve_benders_single_tree(const AcrrInstance& inst,
   res.solve_ms = elapsed() * 1e3;
   res.optimal = ub < kInf && ub - lb <= opts.epsilon * (1.0 + std::abs(ub));
   res.deficit = best_deficit;
-  res.cuts_separated = mr.cuts_separated + mw_cuts;
-  res.cuts_from_pool = mr.cuts_from_pool;
-  res.cuts_evicted = mr.cuts_evicted;
-  res.separation_rounds = mr.separation_rounds;
+  static_cast<SolveStats&>(res) = mr;
+  res.cuts_separated += mw_cuts;
   res.master_pivots = mr.lp_iterations;
-  res.pseudocost_branchings = mr.pseudocost_branchings;
-  res.strong_probes = mr.strong_probes;
-  res.heuristic_incumbents = mr.heuristic_incumbents;
-  res.first_incumbent_nodes = mr.first_incumbent_nodes;
   return res;
 }
 
@@ -407,19 +404,14 @@ AdmissionResult solve_benders(const AcrrInstance& inst,
   // with dual simplex — the cut leaves it dual-feasible — instead of the
   // artificial-repair Phase 1 the old Basis plumbing went through.
   LpSession msession(std::move(master.lp), opts.master.lp);
-  long cuts_appended = 0;
+  // Merged over the per-iteration master solves, plus the appended cuts
+  // and the slave solves this loop runs itself.
+  SolveStats stats;
   long master_pivots = 0;
-  long slave_rounds = 0;
-  // Branching/heuristic counters summed over the per-iteration master
-  // solves; first_incumbent_nodes takes the min (best anytime profile).
-  long pc_branchings = 0;
-  long strong_probes = 0;
-  long heur_incumbents = 0;
-  long first_incumbent = -1;
   const auto append_cut = [&](std::string name, RowSense sense, double rhs,
                               std::vector<Coef> coefs) {
     msession.add_cut(std::move(name), sense, rhs, std::move(coefs));
-    ++cuts_appended;
+    ++stats.cuts_separated;
   };
   SlaveProblem slave(inst);
   // One extra SlaveProblem per probed tenant, created lazily and reused
@@ -466,13 +458,7 @@ AdmissionResult solve_benders(const AcrrInstance& inst,
     if (!opts.warm_start) msession.clear_basis();
     const MilpResult mr = solve_milp(msession, mopts);
     master_pivots += mr.lp_iterations;
-    pc_branchings += mr.pseudocost_branchings;
-    strong_probes += mr.strong_probes;
-    heur_incumbents += mr.heuristic_incumbents;
-    if (mr.first_incumbent_nodes >= 0 &&
-        (first_incumbent < 0 || mr.first_incumbent_nodes < first_incumbent)) {
-      first_incumbent = mr.first_incumbent_nodes;
-    }
+    stats.merge(mr);
     if (mr.status == MilpStatus::Infeasible) {
       // Structurally infeasible master (e.g. conflicting pinned slices
       // without the §3.4 relaxation): report an empty admission.
@@ -531,7 +517,7 @@ AdmissionResult solve_benders(const AcrrInstance& inst,
                      .solve(probe_x[p - 1], deficit, opts.warm_start);
       }
     });
-    slave_rounds += static_cast<long>(srs.size());
+    stats.separation_rounds += static_cast<long>(srs.size());
 
     const SlaveResult& sr = srs[0];
     // A vacuous cut (no coefficients, non-positive constant) cannot
@@ -622,13 +608,8 @@ AdmissionResult solve_benders(const AcrrInstance& inst,
   res.solve_ms = elapsed() * 1e3;
   res.optimal = ub < kInf && ub - lb <= opts.epsilon * (1.0 + std::abs(ub));
   res.deficit = best_deficit;
-  res.cuts_separated = cuts_appended;
-  res.separation_rounds = slave_rounds;
+  static_cast<SolveStats&>(res) = stats;
   res.master_pivots = master_pivots;
-  res.pseudocost_branchings = pc_branchings;
-  res.strong_probes = strong_probes;
-  res.heuristic_incumbents = heur_incumbents;
-  res.first_incumbent_nodes = first_incumbent;
   return res;
 }
 
@@ -712,10 +693,7 @@ AdmissionResult solve_no_overbooking(const AcrrInstance& inst,
   res.solve_ms = std::chrono::duration<double>(
                      std::chrono::steady_clock::now() - t0).count() * 1e3;
   res.master_pivots = mr.lp_iterations;
-  res.pseudocost_branchings = mr.pseudocost_branchings;
-  res.strong_probes = mr.strong_probes;
-  res.heuristic_incumbents = mr.heuristic_incumbents;
-  res.first_incumbent_nodes = mr.first_incumbent_nodes;
+  static_cast<SolveStats&>(res) = mr;
   return res;
 }
 

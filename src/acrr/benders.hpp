@@ -62,15 +62,14 @@ struct BendersOptions {
   /// `master.threads` is honored as-is: > 1 relaxes *trajectory*
   /// determinism (which cuts, in which order) but never the admission
   /// objective — incumbents are separation-verified (see docs/solver.md).
+  /// Single-tree mode always strengthens cuts Magnanti–Wong style: each
+  /// rejected integral candidate's cut comes with a second one from the
+  /// slave at a *core* activation (the running union of feasible
+  /// candidates seen so far), pooled too. Cuts are valid at any activation
+  /// (acrr/slave.hpp), and the denser core prices resources the candidate
+  /// leaves idle — the classic "pareto-optimal cut" effect without a
+  /// fractional core point (the slave takes binary activations).
   bool single_tree = false;
-  /// Magnanti–Wong style cut strengthening, single-tree only: alongside
-  /// each rejected candidate's cut, also solve the slave at a *core*
-  /// activation (the running union of feasible candidates seen so far) on
-  /// a dedicated SlaveProblem and pool that cut too. Cuts are valid at any
-  /// activation (acrr/slave.hpp), and the denser core prices resources the
-  /// candidate leaves idle — the classic "pareto-optimal cut" effect
-  /// without a fractional core point (the slave takes binary activations).
-  bool magnanti_wong = true;
   /// Cut pool for single-tree mode, shared with the caller (not owned;
   /// e.g. across re-solves of a cut-round session). Null: private pool.
   solver::CutPool* cut_pool = nullptr;

@@ -112,10 +112,7 @@ AdmissionResult solve_exact_milp(const AcrrInstance& inst,
   res.optimal = mr.status == MilpStatus::Optimal;
   res.solve_ms = ms;
   res.master_pivots = mr.lp_iterations;
-  res.pseudocost_branchings = mr.pseudocost_branchings;
-  res.strong_probes = mr.strong_probes;
-  res.heuristic_incumbents = mr.heuristic_incumbents;
-  res.first_incumbent_nodes = mr.first_incumbent_nodes;
+  static_cast<solver::SolveStats&>(res) = mr;
   return res;
 }
 

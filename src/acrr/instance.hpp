@@ -22,6 +22,7 @@
 #include "common/ids.hpp"
 #include "common/units.hpp"
 #include "slice/slice.hpp"
+#include "solver/milp.hpp"
 #include "topo/topology.hpp"
 
 namespace ovnes::acrr {
@@ -122,7 +123,9 @@ struct Placement {
 /// arrival→pinned transition of the orchestrator's retry loop.
 [[nodiscard]] std::uint64_t instance_fingerprint(const AcrrInstance& inst);
 
-struct AdmissionResult {
+/// Solver counters come from the solver::SolveStats base (zero for KAC;
+/// Benders sums them over its master and slave solves).
+struct AdmissionResult : solver::SolveStats {
   /// Per tenant: placement if accepted.
   std::vector<std::optional<Placement>> admitted;
   double objective = 0.0;       ///< Ψ value achieved (lower = better)
@@ -132,23 +135,7 @@ struct AdmissionResult {
   bool optimal = false;
   /// §3.4 deficit (big-M) usage, nonzero only under forced admission.
   double deficit = 0.0;
-  // -- Benders cut-machinery counters (zero for non-Benders solvers).
-  long cuts_separated = 0;   ///< cuts admitted to the pool / master
-  long cuts_from_pool = 0;   ///< cuts priced from the pool: candidates
-                             ///< rejected by a pooled row (no slave solve)
-                             ///< + rows carried in from an earlier solve
-  long cuts_evicted = 0;     ///< cuts aged/purged out of the active set
-  long separation_rounds = 0;///< slave separation invocations
   long master_pivots = 0;    ///< master simplex iterations, all solves summed
-  // -- Master branching/heuristic counters (zero unless the MILP master
-  //    ran with BranchRule::Pseudocost / primal heuristics enabled).
-  long pseudocost_branchings = 0;  ///< reliable pseudocost branch decisions
-  long strong_probes = 0;          ///< strong-branching probe LPs solved
-  long heuristic_incumbents = 0;   ///< incumbents from dive/RENS/LNS
-  /// Master tree nodes at the first incumbent (min across MILP solves for
-  /// the multi-tree loop); -1 when no solve found one. The anytime
-  /// time-to-first-feasible metric the heuristics target.
-  long first_incumbent_nodes = -1;
 
   [[nodiscard]] std::size_t num_accepted() const;
   /// Σ rewards of accepted tenants (per epoch).

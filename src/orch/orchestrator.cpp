@@ -99,7 +99,7 @@ acrr::AdmissionResult Simulation::dispatch_solver(
       // epoch to epoch as long as the instance fingerprint — column layout,
       // objective coefficients, capacities — is unchanged; any drift clears
       // it, so pooled rows can never cut a valid point of a new instance.
-      if (cfg_.share_cut_pool && opts.single_tree && opts.cut_pool == nullptr) {
+      if (opts.single_tree && opts.cut_pool == nullptr) {
         const std::uint64_t fp = acrr::instance_fingerprint(inst);
         if (epoch_pool_ == nullptr) {
           epoch_pool_ = std::make_unique<solver::CutPool>();
@@ -170,14 +170,7 @@ EpochReport Simulation::run_epoch() {
     const acrr::AdmissionResult result = dispatch_solver(inst, !active_.empty());
     report.solve_ms = result.solve_ms;
     report.deficit = result.deficit;
-    report.cuts_separated = result.cuts_separated;
-    report.cuts_from_pool = result.cuts_from_pool;
-    report.cuts_evicted = result.cuts_evicted;
-    report.separation_rounds = result.separation_rounds;
-    report.pseudocost_branchings = result.pseudocost_branchings;
-    report.strong_probes = result.strong_probes;
-    report.heuristic_incumbents = result.heuristic_incumbents;
-    report.first_incumbent_nodes = result.first_incumbent_nodes;
+    static_cast<solver::SolveStats&>(report) = result;
 
     // Update pinned actives with fresh reservations.
     for (std::size_t i = 0; i < active_.size(); ++i) {

@@ -58,15 +58,6 @@ struct OrchestratorConfig {
   std::size_t hw_period = 24;           ///< season length in epochs (1 day)
   /// Rejected requests retry at the next epoch instead of being dropped.
   bool retry_rejected = false;
-  /// Keep ONE solver::CutPool alive across epochs for the single-tree
-  /// Benders solver (acrr::BendersOptions::single_tree): consecutive epochs
-  /// whose instances share an acrr::instance_fingerprint re-price rejected
-  /// candidates from pooled cuts instead of fresh slave solves
-  /// (EpochReport::cuts_from_pool). A fingerprint change — different tenant
-  /// set, forecasts or capacities — clears the pool first, so reuse is
-  /// always sound. No effect on the classic multi-tree loop or when
-  /// benders.cut_pool is already caller-supplied.
-  bool share_cut_pool = true;
   acrr::AcrrConfig acrr;                ///< shared model knobs
   acrr::BendersOptions benders;
   acrr::KacOptions kac;
@@ -84,7 +75,9 @@ struct DomainUsage {
   std::vector<double> cpu_load;
 };
 
-struct EpochReport {
+/// The solver::SolveStats base carries this epoch's admission-solve
+/// counters (see acrr::AdmissionResult).
+struct EpochReport : solver::SolveStats {
   std::size_t epoch = 0;
   std::vector<std::string> accepted;    ///< newly admitted slice names
   std::vector<std::string> rejected;    ///< requests denied this epoch
@@ -104,18 +97,6 @@ struct EpochReport {
   double radio_headroom_mbps = 0.0;
   double solve_ms = 0.0;
   double deficit = 0.0;
-  // Benders cut-machinery counters for this epoch's admission solve
-  // (zero for non-Benders solvers; see acrr::AdmissionResult).
-  long cuts_separated = 0;
-  long cuts_from_pool = 0;
-  long cuts_evicted = 0;
-  long separation_rounds = 0;
-  // Master branching/heuristic counters for this epoch's admission solve
-  // (zero unless pseudocost branching / primal heuristics are enabled).
-  long pseudocost_branchings = 0;
-  long strong_probes = 0;
-  long heuristic_incumbents = 0;
-  long first_incumbent_nodes = -1;
   /// Southbound enforcement calls the domain controllers refused. Always 0
   /// unless the §3.4 deficit is active (leased/federated capacity is not
   /// modelled in the controllers' physical inventories).
@@ -196,8 +177,14 @@ class Simulation {
   TransportController transport_;
   CloudController cloud_;
 
-  /// Cross-epoch Benders cut pool (OrchestratorConfig::share_cut_pool),
-  /// lazily created; reuse gated by the instance fingerprint.
+  /// Cross-epoch cut pool for the single-tree Benders solver
+  /// (acrr::BendersOptions::single_tree), lazily created: consecutive
+  /// epochs whose instances share an acrr::instance_fingerprint re-price
+  /// rejected candidates from pooled cuts instead of fresh slave solves
+  /// (EpochReport::cuts_from_pool). A fingerprint change — different tenant
+  /// set, forecasts or capacities — clears the pool first, so reuse is
+  /// always sound. Unused by the multi-tree loop or when benders.cut_pool
+  /// is already caller-supplied.
   std::unique_ptr<solver::CutPool> epoch_pool_;
   std::uint64_t epoch_pool_fingerprint_ = 0;
 

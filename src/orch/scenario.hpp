@@ -58,7 +58,9 @@ struct ScenarioConfig {
   solver::MilpOptions milp;
 };
 
-struct ScenarioResult {
+/// The solver::SolveStats base merges the counters of the scenario's
+/// admission solves (one EpochReport each).
+struct ScenarioResult : solver::SolveStats {
   double mean_net_revenue = 0.0;  ///< per-epoch net revenue (paper's metric)
   double rse = 0.0;               ///< achieved relative standard error
   std::size_t epochs = 0;
@@ -68,12 +70,6 @@ struct ScenarioResult {
   double max_drop_fraction = 0.0;
   double solve_ms = 0.0;          ///< admission solve wall time
   double deficit = 0.0;
-  // Benders cut counters, summed over the scenario's admission solves
-  // (zero for non-Benders solvers).
-  long cuts_separated = 0;
-  long cuts_from_pool = 0;
-  long cuts_evicted = 0;
-  long separation_rounds = 0;
   // Overbooking accounting (EpochReport aggregates).
   double violation_minutes = 0.0;      ///< Σ SLA-violation minutes, all epochs
   double mean_overbooked_mbps = 0.0;   ///< mean per-epoch overbooking exposure

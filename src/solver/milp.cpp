@@ -28,6 +28,21 @@ const char* to_string(MilpStatus s) {
   return "unknown";
 }
 
+void SolveStats::merge(const SolveStats& o) {
+  cuts_separated += o.cuts_separated;
+  cuts_from_pool += o.cuts_from_pool;
+  cuts_evicted += o.cuts_evicted;
+  separation_rounds += o.separation_rounds;
+  pseudocost_branchings += o.pseudocost_branchings;
+  strong_probes += o.strong_probes;
+  heuristic_incumbents += o.heuristic_incumbents;
+  if (o.first_incumbent_nodes >= 0 &&
+      (first_incumbent_nodes < 0 ||
+       o.first_incumbent_nodes < first_incumbent_nodes)) {
+    first_incumbent_nodes = o.first_incumbent_nodes;
+  }
+}
+
 double MilpResult::gap() const {
   if (status == MilpStatus::Optimal) return 0.0;
   if (status != MilpStatus::Feasible) return kInf;
@@ -100,11 +115,12 @@ struct BnbShared {
   /// pc_mu — separate from `mu` so strong-branching probe bookkeeping
   /// never stalls the incumbent/pool publishing of other lanes.
   std::mutex pc_mu;
-  Pseudocosts pc;                  ///< guarded by pc_mu
-  long pseudocost_branchings = 0;  ///< guarded by pc_mu
-  /// Probe LPs reserved AND run (reserved in pairs under pc_mu before the
-  /// fan-out, so the budget is never oversubscribed across lanes).
-  long strong_probes = 0;
+  Pseudocosts pc;  ///< guarded by pc_mu
+  /// The result's counters. `pseudocost_branchings` and `strong_probes`
+  /// (probe LPs reserved in pairs before the fan-out, so the budget is
+  /// never oversubscribed across lanes) are guarded by pc_mu, every other
+  /// field by mu. cuts_evicted is filled in at compose time.
+  SolveStats stats;
 
   std::mutex mu;
   std::condition_variable cv;
@@ -118,13 +134,6 @@ struct BnbShared {
   std::vector<double> best_x;
   long nodes = 0;
   long lp_iterations = 0;
-  // Lazy-cut observability (MilpResult mirrors these at compose time).
-  long cuts_separated = 0;
-  long cuts_from_pool = 0;
-  long separation_rounds = 0;
-  // Primal-heuristic observability + LNS scheduling (guarded by mu).
-  long heuristic_incumbents = 0;
-  long first_incumbent_nodes = -1;
   long lns_next = 0;  ///< node count that triggers the next LNS episode
   long lns_runs = 0;  ///< episodes started (seeds the destroy stream)
   bool hit_limit = false;
@@ -196,8 +205,8 @@ void install_incumbent(BnbShared& sh, double obj, const std::vector<double>& x,
   sh.incumbent = obj;
   sh.best_x = x;
   round_integers(sh.int_vars, sh.best_x);
-  if (first) sh.first_incumbent_nodes = sh.nodes;
-  if (heuristic) ++sh.heuristic_incumbents;
+  if (first) sh.stats.first_incumbent_nodes = sh.nodes;
+  if (heuristic) ++sh.stats.heuristic_incumbents;
 }
 
 /// \brief Measured bound deltas of one strong-branching probe pair.
@@ -267,8 +276,8 @@ int choose_branch(BnbShared& sh, const LpModel& node_model, const LpResult& lp,
     std::lock_guard<std::mutex> lk(sh.pc_mu);
     for (std::size_t i = 0; i < cands.size(); ++i) {
       if (sh.pc.reliable(cands[i].var, opts.reliability)) continue;
-      if (sh.strong_probes + 2 > opts.max_strong_probes) break;
-      sh.strong_probes += 2;
+      if (sh.stats.strong_probes + 2 > opts.max_strong_probes) break;
+      sh.stats.strong_probes += 2;
       to_probe.push_back(i);
     }
   }
@@ -313,7 +322,7 @@ int choose_branch(BnbShared& sh, const LpModel& node_model, const LpResult& lp,
   if (!probed && sh.pc.reliable(pick, opts.reliability)) {
     // The chosen variable was ranked purely from accumulated pseudocosts
     // (already reliable, no probe this node): a pseudocost branching.
-    ++sh.pseudocost_branchings;
+    ++sh.stats.pseudocost_branchings;
   }
   return pick;
 }
@@ -403,9 +412,9 @@ bool run_heuristic_dive(BnbShared& sh, LpSession& sess, double cutoff) {
     std::lock_guard<std::mutex> lk(sh.mu);
     sh.nodes += sub.lp_solves;  // heuristic LPs consume node budget
     sh.lp_iterations += sess.stats().iterations - it0;
-    sh.separation_rounds += gate_rounds;
-    sh.cuts_separated += gate_fresh;
-    sh.cuts_from_pool += gate_pool;
+    sh.stats.separation_rounds += gate_rounds;
+    sh.stats.cuts_separated += gate_fresh;
+    sh.stats.cuts_from_pool += gate_pool;
     if (sub.abandoned) {
       // Heuristic-found-but-unverified candidate: fold conservatively —
       // the point was discarded, and the solve can no longer claim
@@ -649,9 +658,9 @@ bool evaluate_node(BnbShared& sh, Node& node,
     std::unique_lock<std::mutex> lk(sh.mu);
     sh.lp_iterations += lp.iterations + extra_lp_iters + probe_iters;
     sh.nodes += sep_resolves;  // separation re-solves consume node budget
-    sh.cuts_separated += sep_new;
-    sh.cuts_from_pool += sep_pool;
-    sh.separation_rounds += sep_rounds;
+    sh.stats.cuts_separated += sep_new;
+    sh.stats.cuts_from_pool += sep_pool;
+    sh.stats.separation_rounds += sep_rounds;
     if (!sh.root_solved && lp.status == LpStatus::Optimal) {
       sh.root_bound = lp.objective;
       sh.root_solved = true;
@@ -820,11 +829,15 @@ class BranchAndBound {
     auto sh = std::make_shared<BnbShared>();
     sh->base = &base_;
     sh->opts = opts_;
+    // A caller-shared pool keeps a lifetime eviction count: the result
+    // reports only this solve's share of it.
+    long evicted_at_start = 0;
     if (opts_.lazy_cuts) {
       // Like `base`, the pool is only dereferenced while a lane holds a
       // node, so run()'s frame (or the caller, for cut_pool) outlives
       // every access even with queued-but-unstarted lane tasks.
       sh->cuts = opts_.cut_pool != nullptr ? opts_.cut_pool : &*owned_pool_;
+      evicted_at_start = sh->cuts->stats().evicted;
     }
     sh->int_vars = int_vars_;
     sh->t0 = t0;
@@ -900,14 +913,10 @@ class BranchAndBound {
     res.lp_iterations = static_cast<int>(sh->lp_iterations);
     res.root_basis = sh->root_basis;
     res.peak_open_nodes = sh->peak_open;
-    res.cuts_separated = sh->cuts_separated;
-    res.cuts_from_pool = sh->cuts_from_pool;
-    res.separation_rounds = sh->separation_rounds;
-    res.pseudocost_branchings = sh->pseudocost_branchings;
-    res.strong_probes = sh->strong_probes;
-    res.heuristic_incumbents = sh->heuristic_incumbents;
-    res.first_incumbent_nodes = sh->first_incumbent_nodes;
-    if (sh->cuts != nullptr) res.cuts_evicted = sh->cuts->stats().evicted;
+    static_cast<SolveStats&>(res) = sh->stats;
+    if (sh->cuts != nullptr) {
+      res.cuts_evicted = sh->cuts->stats().evicted - evicted_at_start;
+    }
     const bool hit_limit = sh->hit_limit || dive_hit_limit;
     if (sh->unbounded) {
       res.status = MilpStatus::NoSolution;
@@ -955,7 +964,7 @@ class BranchAndBound {
       std::size_t version = 0;
       auto pooled = sh.cuts->fetch_new(version);
       if (opts_.cut_pool != nullptr) {
-        sh.cuts_from_pool += static_cast<long>(pooled.size());
+        sh.stats.cuts_from_pool += static_cast<long>(pooled.size());
       }
       for (Rowdef& r : pooled) sess.add_cut(std::move(r));
     }
@@ -991,10 +1000,10 @@ class BranchAndBound {
           // session (no frames here) and in the pool for the lanes.
           if (sep_rounds >= opts_.max_separation_rounds) return;
           SeparationStep s = separate_candidate(sh, *lp, true);
-          sh.separation_rounds += s.called ? 1 : 0;
-          sh.cuts_separated += s.fresh;
-          sh.cuts_from_pool += s.from_pool ? static_cast<long>(s.rows.size())
-                                           : 0;
+          sh.stats.separation_rounds += s.called ? 1 : 0;
+          sh.stats.cuts_separated += s.fresh;
+          sh.stats.cuts_from_pool +=
+              s.from_pool ? static_cast<long>(s.rows.size()) : 0;
           if (s.abandon) {
             // Heuristic-found-but-unverified candidate: discard it AND
             // record the truncation — the separation oracle failed

@@ -79,9 +79,52 @@ enum class MilpStatus {
 
 [[nodiscard]] const char* to_string(MilpStatus s);
 
+/// \brief Search counters of one solve, shared by every result type that
+/// reports a solve: MilpResult, acrr::AdmissionResult, orch::EpochReport,
+/// orch::ScenarioResult and svc::ShardStats take it as a public base.
+/// Results of several solves combine with merge(), the one rule for all.
+struct SolveStats {
+  // -- Lazy-cut observability (all zero unless MilpOptions::lazy_cuts ran).
+  /// Rows admitted to the cut pool from callback separation. Benders adds
+  /// its own: the Magnanti–Wong core cuts (single-tree) or every cut
+  /// appended to the master (multi-tree).
+  long cuts_separated = 0;
+  /// Pooled rows that priced a candidate without a separation call: rows
+  /// the pool lookup found violated first, plus rows inherited from a
+  /// caller-shared pool (MilpOptions::cut_pool) at solve start — the
+  /// cross-solve reuse channel.
+  long cuts_from_pool = 0;
+  /// Rows that left the pool's active set (aged out or dominated) during
+  /// this solve, also when the caller shares the pool across solves.
+  long cuts_evicted = 0;
+  /// Separation callback invocations (integral + fractional rounds); for
+  /// multi-tree Benders, slave solves (the master's x̄ plus probes).
+  long separation_rounds = 0;
+  // -- Branching observability (zero under BranchRule::MostFractional).
+  /// Branch decisions taken by the pseudocost score with the chosen
+  /// variable already reliable (no strong-branching probes needed).
+  long pseudocost_branchings = 0;
+  /// Strong-branching probe LPs solved to initialize unreliable
+  /// candidates; bounded by MilpOptions::max_strong_probes.
+  long strong_probes = 0;
+  // -- Primal-heuristic observability.
+  /// Incumbents installed by a heuristic (root dive, RENS, LNS) rather
+  /// than by tree search.
+  long heuristic_incumbents = 0;
+  /// Value of `nodes` when the first incumbent (from any source) was
+  /// installed; -1 if the solve never found one. The anytime metric the
+  /// heuristics target: lower is better.
+  long first_incumbent_nodes = -1;
+
+  /// Fold in another solve's counters: every counter sums, except
+  /// first_incumbent_nodes, which keeps the minimum over values >= 0 (the
+  /// best anytime profile). A default-constructed value is the identity.
+  void merge(const SolveStats& o);
+};
+
 /// \brief Outcome of a branch-and-bound solve: incumbent, certified
 /// bound/gap, and search statistics.
-struct MilpResult {
+struct MilpResult : SolveStats {
   MilpStatus status = MilpStatus::NoSolution;
   double objective = 0.0;       ///< incumbent objective (valid unless NoSolution)
   double best_bound = -kInf;    ///< global lower bound on the optimum (min)
@@ -102,35 +145,6 @@ struct MilpResult {
   /// bounds the search's memory footprint (see BM_MilpBnbThroughput's
   /// peak_rss counter).
   long peak_open_nodes = 0;
-  // -- Lazy-cut observability (all zero unless MilpOptions::lazy_cuts ran).
-  /// Rows admitted to the cut pool from callback separation this solve.
-  long cuts_separated = 0;
-  /// Pooled rows that priced a candidate without a separation call: rows
-  /// the pool lookup found violated first, plus rows inherited from a
-  /// caller-shared pool (MilpOptions::cut_pool) at solve start — the
-  /// cross-solve reuse channel.
-  long cuts_from_pool = 0;
-  /// Rows aged out of the pool's active set — lifetime count of the pool
-  /// used, which equals this solve's count unless the caller shared a pool
-  /// across solves (MilpOptions::cut_pool).
-  long cuts_evicted = 0;
-  /// Separation callback invocations (integral + fractional rounds).
-  long separation_rounds = 0;
-  // -- Branching observability (zero under BranchRule::MostFractional).
-  /// Branch decisions taken by the pseudocost score with the chosen
-  /// variable already reliable (no strong-branching probes needed).
-  long pseudocost_branchings = 0;
-  /// Strong-branching probe LPs solved to initialize unreliable
-  /// candidates; bounded by MilpOptions::max_strong_probes.
-  long strong_probes = 0;
-  // -- Primal-heuristic observability.
-  /// Incumbents installed by a heuristic (root dive, RENS, LNS) rather
-  /// than by tree search.
-  long heuristic_incumbents = 0;
-  /// Value of `nodes` when the first incumbent (from any source) was
-  /// installed; -1 if the solve never found one. The anytime metric the
-  /// heuristics target: lower is better.
-  long first_incumbent_nodes = -1;
   /// (objective - best_bound) / max(1, |objective|); 0 when proved optimal.
   [[nodiscard]] double gap() const;
 };

@@ -80,18 +80,7 @@ void ShardStats::accumulate(const ShardStats& o) {
   full_resolves += o.full_resolves;
   greedy_repacks += o.greedy_repacks;
   pool_resets += o.pool_resets;
-  cuts_separated += o.cuts_separated;
-  cuts_from_pool += o.cuts_from_pool;
-  cuts_evicted += o.cuts_evicted;
-  separation_rounds += o.separation_rounds;
-  pseudocost_branchings += o.pseudocost_branchings;
-  strong_probes += o.strong_probes;
-  heuristic_incumbents += o.heuristic_incumbents;
-  if (o.first_incumbent_nodes >= 0 &&
-      (first_incumbent_nodes < 0 ||
-       o.first_incumbent_nodes < first_incumbent_nodes)) {
-    first_incumbent_nodes = o.first_incumbent_nodes;
-  }
+  merge(o);
   violation_minutes += o.violation_minutes;
   violation_samples += o.violation_samples;
 }
@@ -566,18 +555,7 @@ void Shard::benders_resolve() {
   bo.master.branching = cfg_.resolve_branching;
   bo.master.rens_heuristic = cfg_.resolve_rens;
   const acrr::AdmissionResult res = acrr::solve_benders(inst, bo);
-  stats_.cuts_separated += res.cuts_separated;
-  stats_.cuts_from_pool += res.cuts_from_pool;
-  stats_.cuts_evicted += res.cuts_evicted;
-  stats_.separation_rounds += res.separation_rounds;
-  stats_.pseudocost_branchings += res.pseudocost_branchings;
-  stats_.strong_probes += res.strong_probes;
-  stats_.heuristic_incumbents += res.heuristic_incumbents;
-  if (res.first_incumbent_nodes >= 0 &&
-      (stats_.first_incumbent_nodes < 0 ||
-       res.first_incumbent_nodes < stats_.first_incumbent_nodes)) {
-    stats_.first_incumbent_nodes = res.first_incumbent_nodes;
-  }
+  stats_.merge(res);
 
   for (std::size_t i = 0; i < slots.size(); ++i) {
     if (!res.admitted[i].has_value()) continue;  // defensive: pins hold

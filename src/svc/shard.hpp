@@ -119,8 +119,9 @@ struct Decision {
   double latency_us = 0.0;  ///< decision wall time (not part of the log)
 };
 
-/// Monotonic per-shard counters (gauges live on Shard accessors).
-struct ShardStats {
+/// Monotonic per-shard counters (gauges live on Shard accessors). The
+/// solver::SolveStats base merges the counters of the Benders re-solves.
+struct ShardStats : solver::SolveStats {
   std::uint64_t arrivals = 0;
   std::uint64_t admitted = 0;
   std::uint64_t rejected_profit = 0;
@@ -137,18 +138,6 @@ struct ShardStats {
   std::uint64_t full_resolves = 0;    ///< exact Benders shard re-solves
   std::uint64_t greedy_repacks = 0;   ///< oversize fallback repacks
   std::uint64_t pool_resets = 0;      ///< fingerprint changes that cleared the pool
-  long cuts_separated = 0;
-  long cuts_from_pool = 0;  ///< re-solve candidates priced by a pooled cut
-  long cuts_evicted = 0;
-  long separation_rounds = 0;
-  // Re-solve master branching/heuristic counters (summed over re-solves;
-  // zero unless ShardConfig::resolve_branching/resolve_rens enable them).
-  long pseudocost_branchings = 0;
-  long strong_probes = 0;
-  long heuristic_incumbents = 0;
-  /// Min over re-solves of the master's nodes-at-first-incumbent; -1
-  /// until any re-solve found one (the anytime metric).
-  long first_incumbent_nodes = -1;
   // SLA accounting under overbooking.
   double violation_minutes = 0.0;      ///< Σ tenant-minutes with demand > z
   std::uint64_t violation_samples = 0; ///< DemandUpdates that hit ≥ 1 BS

@@ -279,5 +279,62 @@ TEST(Scenario, ViolationFootprintIsSmall) {
   EXPECT_LE(res.max_drop_fraction, 1.0);
 }
 
+TEST(Scenario, SolverCountersMergeEveryEpoch) {
+  // A single-tree scenario's solver counters are the SolveStats merge of
+  // its epochs' reports: none is dropped, first_incumbent_nodes included.
+  ScenarioConfig cfg;
+  cfg.topology = "romanian";
+  cfg.scale = 0.03;
+  cfg.seed = 5;
+  cfg.k_paths = 2;
+  cfg.tenants = heterogeneous(SliceType::eMBB, SliceType::uRLLC, 8, 50.0,
+                              0.4, 0.5, 2.0);
+  cfg.min_epochs = cfg.max_epochs = 3;  // a fixed epoch count
+  cfg.benders.single_tree = true;
+  cfg.benders.master.branching = solver::BranchRule::Pseudocost;
+  cfg.benders.master.rens_heuristic = true;
+  const ScenarioResult res = run_scenario(cfg);
+  ASSERT_EQ(res.epochs, cfg.max_epochs);
+
+  // The same run epoch by epoch, set up as run_scenario does.
+  OrchestratorConfig ocfg;
+  ocfg.algorithm = cfg.algorithm;
+  ocfg.samples_per_epoch = cfg.samples_per_epoch;
+  ocfg.learn_forecasts = false;
+  ocfg.benders = cfg.benders;
+  ocfg.benders.master.threads = 1;
+  ocfg.seed = cfg.seed;
+  Simulation sim(topo::make_operator(cfg.topology, {cfg.scale, cfg.seed}),
+                 cfg.k_paths, ocfg);
+  std::uint32_t id = 0;
+  for (const TenantSpec& spec : cfg.tenants) {
+    slice::SliceRequest req;
+    req.tenant = TenantId(id);
+    req.name = std::string(slice::to_string(spec.type)) + std::to_string(id);
+    req.tmpl = slice::standard_template(spec.type);
+    req.duration_epochs = cfg.max_epochs + 1;
+    req.penalty_factor = spec.penalty_m;
+    req.declared_mean = spec.alpha * req.tmpl.sla_rate;
+    req.declared_std = spec.type == SliceType::mMTC
+                           ? 0.0
+                           : spec.sigma_ratio * req.declared_mean;
+    sim.submit(req, gaussian_factory(req.declared_mean, req.declared_std));
+    ++id;
+  }
+  solver::SolveStats merged;
+  for (std::size_t e = 0; e < res.epochs; ++e) merged.merge(sim.run_epoch());
+
+  EXPECT_GT(merged.separation_rounds, 0);
+  EXPECT_GE(merged.first_incumbent_nodes, 0);
+  EXPECT_EQ(res.cuts_separated, merged.cuts_separated);
+  EXPECT_EQ(res.cuts_from_pool, merged.cuts_from_pool);
+  EXPECT_EQ(res.cuts_evicted, merged.cuts_evicted);
+  EXPECT_EQ(res.separation_rounds, merged.separation_rounds);
+  EXPECT_EQ(res.pseudocost_branchings, merged.pseudocost_branchings);
+  EXPECT_EQ(res.strong_probes, merged.strong_probes);
+  EXPECT_EQ(res.heuristic_incumbents, merged.heuristic_incumbents);
+  EXPECT_EQ(res.first_incumbent_nodes, merged.first_incumbent_nodes);
+}
+
 }  // namespace
 }  // namespace ovnes::orch

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -160,6 +161,37 @@ TEST(LazyCuts, SharedPoolCarriesCutsAcrossSolves) {
   EXPECT_EQ(second.cuts_separated, 0);
 }
 
+TEST(LazyCuts, SharedPoolReportsPerSolveEvictions) {
+  // A pool with no active-set room evicts every separated row when its
+  // round closes (the log keeps the row, so lanes still append it). Each
+  // solve reports only its own evictions, so over two solves on one pool
+  // they add up to the pool's lifetime count.
+  solver::CutPool::Options popts;
+  popts.capacity = 0;
+  popts.max_idle_rounds = 0;
+  solver::CutPool pool(popts);
+  double limit = 1.5;
+  solver::MilpOptions opts;
+  opts.threads = 1;
+  opts.cut_pool = &pool;
+  opts.lazy_cuts = [&limit](const solver::LazyCutContext& ctx) {
+    solver::LazyCutResult out;
+    if (ctx.x[0] + ctx.x[1] > limit) {
+      out.cuts.push_back(cut_row("cap", {{0, 1.0}, {1, 1.0}}, limit));
+    }
+    return out;
+  };
+  const solver::MilpResult first = solver::solve_milp(two_binary_model(), opts);
+  limit = 0.5;  // a tighter rule: the second solve separates a new row
+  const solver::MilpResult second =
+      solver::solve_milp(two_binary_model(), opts);
+  EXPECT_DOUBLE_EQ(first.objective, -1.0);
+  EXPECT_DOUBLE_EQ(second.objective, 0.0);
+  EXPECT_GT(first.cuts_evicted, 0);
+  EXPECT_GT(second.cuts_evicted, 0);
+  EXPECT_EQ(first.cuts_evicted + second.cuts_evicted, pool.stats().evicted);
+}
+
 // -------------------------------------------------------------- acrr layer
 
 TenantModel make_tenant(std::uint32_t id, SliceType type, double lambda_hat,
@@ -248,6 +280,61 @@ TEST(SingleTree, ParallelLanesMatchSerialObjective) {
   // admission objective is not.
   EXPECT_NEAR(a.objective, b.objective, 1e-5 * (1.0 + std::abs(a.objective)));
 }
+
+/// A convergence-grid instance: the Romanian topology at `scale`, with
+/// `tenants` random tenants drawn from `seed` in their drawn order.
+struct GridCase {
+  double scale;
+  std::size_t tenants;
+  std::uint64_t seed;
+};
+
+void PrintTo(const GridCase& c, std::ostream* os) {
+  *os << "(" << c.scale << ", " << c.tenants << ", " << c.seed << ")";
+}
+
+class SingleTreeGridTest : public ::testing::TestWithParam<GridCase> {};
+
+TEST_P(SingleTreeGridTest, IncumbentIsTheMultiTreeOptimum) {
+  // Regression: fractional root points once priced into the incumbent, so
+  // these instances returned admissions worth less than their reported
+  // objective, some below the solve's own bound.
+  const GridCase c = GetParam();
+  const topo::Topology topo = topo::make_romanian({c.scale, c.seed});
+  const topo::PathCatalog catalog(topo, 2);
+  RngStream rng(c.seed);
+  std::vector<TenantModel> ts;
+  for (std::size_t i = 0; i < c.tenants; ++i) {
+    const auto type = static_cast<SliceType>(rng.uniform_int(0, 2));
+    const double lambda_hat =
+        rng.uniform(0.2, 0.6) * slice::standard_template(type).sla_rate;
+    const double sigma_hat = rng.uniform(0.05, 0.3);
+    ts.push_back(make_tenant(static_cast<std::uint32_t>(i), type, lambda_hat,
+                             sigma_hat));
+  }
+  const AcrrInstance inst(topo, catalog, std::move(ts));
+  // No wall-clock limit: the verdict must not depend on machine speed
+  // (sanitizer builds run these solves 10-20x slower).
+  BendersOptions mt_opts;
+  mt_opts.time_limit_sec = 1e9;
+  mt_opts.master.time_limit_sec = 1e9;
+  BendersOptions st_opts = mt_opts;
+  st_opts.single_tree = true;
+  const AdmissionResult mt = acrr::solve_benders(inst, mt_opts);
+  const AdmissionResult st = acrr::solve_benders(inst, st_opts);
+  ASSERT_TRUE(mt.optimal);
+  EXPECT_TRUE(st.optimal);
+  const double tol = 1e-6 * (1.0 + std::abs(st.objective));
+  EXPECT_NEAR(st.objective, mt.objective, 1e-6 * (1.0 + std::abs(mt.objective)));
+  EXPECT_NEAR(acrr::evaluate_objective(inst, st), st.objective, tol);
+  EXPECT_LE(st.bound, st.objective + tol);
+}
+
+INSTANTIATE_TEST_SUITE_P(ConvergenceGrid, SingleTreeGridTest,
+                         ::testing::Values(GridCase{0.06, 16, 17},
+                                           GridCase{0.06, 16, 18},
+                                           GridCase{0.08, 24, 17},
+                                           GridCase{0.08, 24, 18}));
 
 TEST(SingleTree, ReportsCutCounters) {
   Fixture f;

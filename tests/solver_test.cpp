@@ -751,5 +751,71 @@ TEST(Milp, BranchPriorityIsRespected) {
   EXPECT_NEAR(r.objective, -9.0, 1e-7);
 }
 
+// ---------------------------------------------------------------- SolveStats
+
+SolveStats sample_stats(long base, long first_incumbent) {
+  SolveStats s;
+  s.cuts_separated = base + 1;
+  s.cuts_from_pool = base + 2;
+  s.cuts_evicted = base + 3;
+  s.separation_rounds = base + 4;
+  s.pseudocost_branchings = base + 5;
+  s.strong_probes = base + 6;
+  s.heuristic_incumbents = base + 7;
+  s.first_incumbent_nodes = first_incumbent;
+  return s;
+}
+
+void expect_same_stats(const SolveStats& a, const SolveStats& b) {
+  EXPECT_EQ(a.cuts_separated, b.cuts_separated);
+  EXPECT_EQ(a.cuts_from_pool, b.cuts_from_pool);
+  EXPECT_EQ(a.cuts_evicted, b.cuts_evicted);
+  EXPECT_EQ(a.separation_rounds, b.separation_rounds);
+  EXPECT_EQ(a.pseudocost_branchings, b.pseudocost_branchings);
+  EXPECT_EQ(a.strong_probes, b.strong_probes);
+  EXPECT_EQ(a.heuristic_incumbents, b.heuristic_incumbents);
+  EXPECT_EQ(a.first_incumbent_nodes, b.first_incumbent_nodes);
+}
+
+TEST(SolveStats, DefaultIsTheMergeIdentity) {
+  const SolveStats s = sample_stats(10, 42);
+  SolveStats left;
+  left.merge(s);
+  expect_same_stats(left, s);
+  SolveStats right = s;
+  right.merge(SolveStats{});
+  expect_same_stats(right, s);
+  SolveStats none;
+  none.merge(SolveStats{});
+  expect_same_stats(none, SolveStats{});
+  EXPECT_EQ(none.first_incumbent_nodes, -1);
+}
+
+TEST(SolveStats, MergeSumsEveryCounter) {
+  SolveStats s = sample_stats(0, 5);
+  s.merge(sample_stats(100, 7));
+  EXPECT_EQ(s.cuts_separated, 1 + 101);
+  EXPECT_EQ(s.cuts_from_pool, 2 + 102);
+  EXPECT_EQ(s.cuts_evicted, 3 + 103);
+  EXPECT_EQ(s.separation_rounds, 4 + 104);
+  EXPECT_EQ(s.pseudocost_branchings, 5 + 105);
+  EXPECT_EQ(s.strong_probes, 6 + 106);
+  EXPECT_EQ(s.heuristic_incumbents, 7 + 107);
+}
+
+TEST(SolveStats, FirstIncumbentTakesMinimumOverFoundValues) {
+  const auto merged_first = [](long a, long b) {
+    SolveStats s = sample_stats(0, a);
+    s.merge(sample_stats(0, b));
+    return s.first_incumbent_nodes;
+  };
+  EXPECT_EQ(merged_first(9, 4), 4);
+  EXPECT_EQ(merged_first(4, 9), 4);
+  EXPECT_EQ(merged_first(0, 3), 0);  // found at the root still counts
+  EXPECT_EQ(merged_first(-1, 6), 6);
+  EXPECT_EQ(merged_first(6, -1), 6);
+  EXPECT_EQ(merged_first(-1, -1), -1);
+}
+
 }  // namespace
 }  // namespace ovnes::solver
