@@ -702,7 +702,8 @@ class Simplex {
   /// Returns Restored once every basic value is inside its bounds (the
   /// subsequent primal Phase 2 certifies optimality, normally in zero
   /// pivots), NotDualFeasible when the precondition fails, or Abandoned on
-  /// numerical trouble / iteration exhaustion / a primal-infeasibility
+  /// numerical trouble (including a pivot disagreement that survives one
+  /// refactorization) / iteration exhaustion / a primal-infeasibility
   /// signature — callers fall back to the artificial-repair path, which
   /// also produces the Farkas certificate on genuine infeasibility.
   ///
@@ -782,6 +783,7 @@ class Simplex {
 
     int degenerate_streak = 0;
     bool bland = false;
+    bool retried = false;  // a pivot disagreement since the last pivot
     for (int iter = 0; iter < opts_.max_iterations; ++iter) {
       // --- Leaving row: the basic whose bound violation is steepest in
       // the dual norm (violation² / β).
@@ -892,8 +894,14 @@ class Simplex {
       const double piv = w_[static_cast<size_t>(r)];
       if (std::abs(piv) <= opts_.pivot_tol) {
         // The rho-based pricing and the FTRAN disagree on the pivot:
-        // factorization drift. Refactorize and retry the row.
-        if (!factorize_current_basis()) return DualOutcome::Abandoned;
+        // factorization drift. Refactorize and retry the row — once. A
+        // retry never pivots, so fresh factors of the same basis rebuild
+        // the same x_B, duals and weights: a second disagreement would
+        // recur on every further retry until max_iterations.
+        if (retried || !factorize_current_basis()) {
+          return DualOutcome::Abandoned;
+        }
+        retried = true;
         refresh_basics();
         reprice();
         continue;
@@ -963,6 +971,7 @@ class Simplex {
       status_[static_cast<size_t>(q)] = VarStatus::Basic;
       xb_[static_cast<size_t>(r)] = xq_new;
       ++pivots_;
+      retried = false;
       if (!kernel_.update(w_, r)) {
         if (!factorize_current_basis()) return DualOutcome::Abandoned;
         refresh_basics();

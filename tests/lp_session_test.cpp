@@ -14,13 +14,16 @@
 #include <cmath>
 #include <cstdlib>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "solver/lp_session.hpp"
 #include "solver/simplex.hpp"
+#include "stuck_dual_lp.hpp"
 
 namespace ovnes::solver {
 namespace {
@@ -511,6 +514,78 @@ TEST(LpSessionFrames, PopAfterFailedSolveRestoresFrameSnapshot) {
   const LpResult& again = sess.solve();
   ASSERT_EQ(again.status, LpStatus::Optimal);
   EXPECT_NEAR(again.objective, base_obj, 1e-9);
+}
+
+// ---------------------------------------------------------------------
+// A dual-simplex pivot disagreement that survives a refactorization ends
+// the dual loop at once. Without that rule the captured node LP
+// (stuck_dual_lp.hpp) retries its row until max_iterations: ~50,000
+// iterations and as many refactorizations before the artificial-repair
+// path takes over and reaches the same answer.
+
+/// Parse the stuck_dual_lp.hpp record format into a model and basis.
+std::pair<LpModel, Basis> parse_captured_lp(const char* text) {
+  std::istringstream in(text);
+  const auto num = [&in] {
+    std::string tok;
+    in >> tok;
+    return std::strtod(tok.c_str(), nullptr);
+  };
+  int n = 0;
+  int m = 0;
+  in >> n >> m;
+  LpModel model;
+  for (int j = 0; j < n; ++j) {
+    const double lo = num();
+    const double hi = num();
+    model.add_variable("x" + std::to_string(j), lo, hi, num());
+  }
+  for (int i = 0; i < m; ++i) {
+    char sense = 0;
+    in >> sense;
+    const double rhs = num();
+    int k = 0;
+    in >> k;
+    std::vector<Coef> coefs(static_cast<size_t>(k));
+    for (Coef& c : coefs) {
+      in >> c.var;
+      c.value = num();
+    }
+    model.add_row("r" + std::to_string(i),
+                  sense == 'L'   ? RowSense::LessEq
+                  : sense == 'G' ? RowSense::GreaterEq
+                                 : RowSense::Equal,
+                  rhs, std::move(coefs));
+  }
+  std::string status;
+  in >> status;
+  Basis basis;
+  basis.num_vars = n;
+  basis.num_rows = m;
+  for (const char c : status) {
+    basis.status.push_back(c == 'B'   ? Basis::Status::Basic
+                           : c == 'L' ? Basis::Status::AtLower
+                                      : Basis::Status::AtUpper);
+  }
+  EXPECT_TRUE(in) << "truncated capture";
+  EXPECT_EQ(static_cast<int>(basis.status.size()), n + m);
+  return {std::move(model), std::move(basis)};
+}
+
+TEST(LpSessionDual, PivotDisagreementAbandonsAfterOneRetry) {
+  const auto [model, basis] = parse_captured_lp(testdata::kStuckDualLp);
+  ASSERT_EQ(model.num_vars(), 404);
+  ASSERT_EQ(model.num_rows(), 63);
+
+  const LpResult cold = solve_lp(model);
+  SimplexOptions opts;
+  opts.allow_dual = true;
+  const LpResult warm = solve_lp(model, opts, &basis);
+  EXPECT_EQ(cold.status, LpStatus::Infeasible);
+  EXPECT_EQ(warm.status, cold.status);
+  EXPECT_TRUE(warm.used_warm_start);
+  EXPECT_LT(warm.iterations, 1000);
+  EXPECT_LT(warm.refactorizations, 20);
 }
 
 }  // namespace

@@ -247,7 +247,9 @@ TEST_P(MilpBranchingPropertyTest, RulesAgreeAndBoundsSandwich) {
     limited.max_nodes = 8;
     const MilpResult r = solve_milp(m, limited);
     EXPECT_LE(r.best_bound, a.objective + 1e-9);
-    if (!r.x.empty()) EXPECT_LE(r.best_bound, r.objective + 1e-9);
+    if (!r.x.empty()) {
+      EXPECT_LE(r.best_bound, r.objective + 1e-9);
+    }
   }
 }
 
