@@ -338,6 +338,93 @@ void BM_CutResolveCold(benchmark::State& state) {
 BENCHMARK(BM_CutResolveCold)
     ->Arg(200)->Arg(300)->Arg(500)->Unit(benchmark::kMillisecond);
 
+// Branch-and-bound node re-solves, lane-shaped. The master is
+// benders_master_lp plus 16 dense optimality cuts (each over about half
+// the columns, violated at the optimum it was cut from — a multi-tree
+// Benders master's cuts span every tenant), so a dual pivot row touches
+// most columns. Each node is what a B&B lane does: keep_factors off,
+// push(), branch one fractional variable (x <= floor or x >= ceil), solve
+// from the root basis, pop(). The rows never change, so this isolates
+// per-node overhead: dual pricing and the column view.
+// `dual_pivots_per_solve` is the mean pivot count of the node LPs that the
+// dual simplex restored; `column_builds` counts the session's CSC builds
+// over the whole run (1: the view outlives every node).
+void BM_NodeResolve(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  LpModel master;
+  {
+    LpSession cutter(benders_master_lp(n, n, 11));
+    RngStream rng(3);
+    for (int k = 0; k < 16 && cutter.solve().status == LpStatus::Optimal;
+         ++k) {
+      const std::vector<double>& x = cutter.last().x;
+      std::vector<Coef> coefs;
+      double lhs = 0.0;
+      for (int j = 0; j < n; ++j) {
+        if (!rng.flip(0.5)) continue;
+        const double a = rng.uniform(0.1, 1.0);
+        coefs.push_back({j, a});
+        lhs += a * x[static_cast<size_t>(j)];
+      }
+      cutter.add_cut("dense" + std::to_string(k), RowSense::LessEq, 0.8 * lhs,
+                     std::move(coefs));
+    }
+    master = cutter.model();
+  }
+  SimplexOptions lane_lp;
+  lane_lp.keep_factors = false;
+  LpSession sess(std::move(master), lane_lp);
+  const LpResult& root = sess.solve();
+  if (root.status != LpStatus::Optimal) {
+    state.SkipWithError("root LP not optimal");
+    return;
+  }
+  const SharedBasis root_basis = sess.basis();
+  struct Branch {
+    int var;
+    double lower, upper;
+  };
+  std::vector<Branch> children;
+  for (int j = 0; j < n && children.size() < 32; ++j) {
+    const double v = root.x[static_cast<size_t>(j)];
+    if (std::abs(v - std::round(v)) < 1e-6) continue;
+    const Variable& var = sess.model().variable(j);
+    children.push_back({j, var.lower, std::floor(v)});
+    children.push_back({j, std::min(std::ceil(v), var.upper), var.upper});
+  }
+  long solves = 0;
+  long dual_solves = 0;
+  long dual_pivots = 0;
+  for (auto _ : state) {
+    for (const Branch& b : children) {
+      sess.push();
+      sess.set_bounds(b.var, b.lower, b.upper);
+      sess.set_warm_basis(root_basis);
+      const LpResult& r = sess.solve();
+      ++solves;
+      if (r.used_dual_simplex) {
+        ++dual_solves;
+        dual_pivots += r.iterations;
+      }
+      benchmark::DoNotOptimize(r.objective);
+      sess.pop();
+    }
+  }
+  state.counters["node_solves"] = static_cast<double>(children.size());
+  state.counters["dual_solve_share"] =
+      solves > 0 ? static_cast<double>(dual_solves) / static_cast<double>(solves)
+                 : 0.0;
+  state.counters["dual_pivots_per_solve"] =
+      dual_solves > 0
+          ? static_cast<double>(dual_pivots) / static_cast<double>(dual_solves)
+          : 0.0;
+  state.counters["column_builds"] =
+      static_cast<double>(sess.stats().column_builds);
+  state.SetLabel("m=" + std::to_string(sess.model().num_rows()) +
+                 " n=" + std::to_string(n));
+}
+BENCHMARK(BM_NodeResolve)->Arg(200)->Arg(500)->Unit(benchmark::kMillisecond);
+
 // P3: branch-and-bound node throughput (ISSUE 3 acceptance). A weakly
 // correlated multi-knapsack forces a deep tree; `nodes_per_sec` is the
 // headline counter. BM_MilpBnbThroughput/T runs T parallel lanes on a

@@ -63,6 +63,31 @@ void LpModel::truncate_rows(int num_rows) {
   row_rhs_.resize(nr);
 }
 
+void LpModel::build_columns(SparseMatrix& out) const {
+  const int n = num_vars();
+  out.n_inner = num_rows();
+  out.ptr.assign(static_cast<size_t>(n) + 1, 0);
+  for (const Coef& c : coefs_) ++out.ptr[static_cast<size_t>(c.var) + 1];
+  for (int j = 0; j < n; ++j) {
+    out.ptr[static_cast<size_t>(j) + 1] += out.ptr[static_cast<size_t>(j)];
+  }
+  out.ind.resize(coefs_.size());
+  out.val.resize(coefs_.size());
+  // Scatter with ptr[j] as column j's fill cursor; afterwards ptr[j]
+  // holds column j's end, so shift by one to restore the starts.
+  for (int i = 0; i < num_rows(); ++i) {
+    for (const Coef& c : row(i).coefs) {
+      const auto pos = static_cast<size_t>(out.ptr[static_cast<size_t>(c.var)]++);
+      out.ind[pos] = i;
+      out.val[pos] = c.value;
+    }
+  }
+  for (int j = n; j > 0; --j) {
+    out.ptr[static_cast<size_t>(j)] = out.ptr[static_cast<size_t>(j) - 1];
+  }
+  out.ptr[0] = 0;
+}
+
 void LpModel::set_bounds(int var, double lower, double upper) {
   assert(var >= 0 && var < num_vars());
   if (lower > upper) throw std::invalid_argument("LpModel: lower > upper");

@@ -14,16 +14,19 @@
 // Storage is compressed sparse row (CSR): one flat Coef array indexed by
 // a row-offset table, plus per-row metadata. Appending a row (a Benders
 // cut) extends the flat arrays; truncate_rows is a resize; row(i) hands
-// out a zero-copy RowView over the compressed storage. The simplex builds
-// its CSC column view from this with one counting sort per solve
-// (solver/sparse.hpp) — no per-row heap allocations anywhere on the
-// model-mutation or solve paths.
+// out a zero-copy RowView over the compressed storage. build_columns()
+// turns the rows into the simplex's CSC column view (solver/sparse.hpp)
+// with one counting sort; an LpSession keeps that view across solves and
+// rebuilds it only after its rows change — no per-row heap allocations
+// anywhere on the model-mutation or solve paths.
 #pragma once
 
 #include <limits>
 #include <span>
 #include <string>
 #include <vector>
+
+#include "solver/sparse.hpp"
 
 namespace ovnes::solver {
 
@@ -97,6 +100,10 @@ class LpModel {
                                                              row_ptr_[ii]))};
   }
   [[nodiscard]] const std::vector<Variable>& variables() const { return vars_; }
+  /// CSC view of the structural columns into `out` (outer = variables,
+  /// inner = rows), reusing out's storage. One counting sort over the
+  /// rows: entries within each column come out row-ascending.
+  void build_columns(SparseMatrix& out) const;
 
   /// Indices of integer-marked variables.
   [[nodiscard]] std::vector<int> integer_vars() const;

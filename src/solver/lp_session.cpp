@@ -32,13 +32,15 @@ LpModel& LpSession::mutable_model() {
 
 int LpSession::add_cut(std::string name, RowSense sense, double rhs,
                        std::vector<Coef> coefs) {
-  return mutable_model().add_row(std::move(name), sense, rhs,
-                                 std::move(coefs));
+  const int row = mutable_model().add_row(std::move(name), sense, rhs,
+                                          std::move(coefs));
+  columns_stale_ = true;
+  return row;
 }
 
 int LpSession::add_cut(Rowdef row) {
-  return mutable_model().add_row(std::move(row.name), row.sense, row.rhs,
-                                 std::move(row.coefs));
+  return add_cut(std::move(row.name), row.sense, row.rhs,
+                 std::move(row.coefs));
 }
 
 void LpSession::set_bounds(int var, double lower, double upper) {
@@ -79,7 +81,10 @@ void LpSession::pop() {
   for (auto it = f.saved_bounds.rbegin(); it != f.saved_bounds.rend(); ++it) {
     m.set_bounds(it->var, it->lower, it->upper);
   }
-  m.truncate_rows(f.num_rows);
+  if (f.num_rows != m.num_rows()) {
+    m.truncate_rows(f.num_rows);
+    columns_stale_ = true;
+  }
   basis_ = std::move(f.basis);
   frames_.pop_back();
   // The kept factorization is NOT rolled back here — the next solve's
@@ -101,7 +106,14 @@ const LpResult& LpSession::solve() {
   // keep_factors = false restores the rebuild-from-statuses behaviour.
   BasisFactors* kept =
       (borrowed_ == nullptr && opts_.keep_factors) ? &kept_ : nullptr;
-  result_ = detail::simplex_solve(model(), opts_, warm, kept);
+  // A borrowed model is the caller's, who may have changed its rows since
+  // the last solve, so its view is rebuilt every time.
+  if (columns_stale_ || borrowed_ != nullptr) {
+    model().build_columns(columns_);
+    columns_stale_ = false;
+    ++stats_.column_builds;
+  }
+  result_ = detail::simplex_solve(model(), opts_, warm, kept, columns_);
   if (result_.status == LpStatus::IterationLimit && result_.used_warm_start) {
     // Warm starting is a pivot-count optimization and must never degrade
     // the outcome: a numerically poor incumbent basis that stalls the
@@ -113,7 +125,7 @@ const LpResult& LpSession::solve() {
     const long warm_ksolves = result_.kernel_solves;
     const long warm_hyper = result_.hypersparse_hits;
     const int warm_reord = result_.reorderings;
-    result_ = detail::simplex_solve(model(), opts_, nullptr, kept);
+    result_ = detail::simplex_solve(model(), opts_, nullptr, kept, columns_);
     result_.iterations += warm_iters;
     result_.refactorizations += warm_refacs;
     result_.kernel_solves += warm_ksolves;

@@ -30,6 +30,13 @@
 // solves to be a pure function of (model, warm basis): branch-and-bound
 // lanes and strong-branching probes.
 //
+// The session also owns the simplex's CSC column view of the model and
+// rebuilds it only after add_cut() or a pop() that drops rows: a run of
+// bound-only frames — a branch-and-bound lane over a fixed set of rows —
+// shares one build, and a frame that appends cuts rebuilds into the same
+// allocation. A borrowed session cannot see its caller's edits, so it
+// builds the view on every solve.
+//
 // push()/pop() open scoped delta frames for branch-and-bound: a frame
 // records the row count, the previous value of every bound/cost touched
 // inside it, and the incumbent basis *handle*; pop() restores all three.
@@ -142,6 +149,7 @@ class LpSession {
                            ///< on entry (bound deltas verbatim, cuts bordered)
     long iterations = 0;   ///< total pivots across all solves
     long refactorizations = 0;  ///< from-scratch factorizations, all solves
+    long column_builds = 0;     ///< CSC column-view builds (rows changed)
     // Sparsity counters (LpResult mirrors).
     long kernel_solves = 0;     ///< FTRAN + BTRAN calls, all solves
     long hypersparse_hits = 0;  ///< kernel solves that skipped > half the sweep
@@ -180,6 +188,10 @@ class LpSession {
   /// back on every exit; after a failed solve its order is cleared, so a
   /// pop() back to a frame snapshot can never resume on failed factors.
   BasisFactors kept_;
+  /// CSC view of model()'s structural columns (LpModel::build_columns),
+  /// rebuilt by solve() while columns_stale_ is set.
+  SparseMatrix columns_;
+  bool columns_stale_ = true;  ///< set by add_cut() and a row-dropping pop()
   LpResult result_;
   std::vector<Frame> frames_;
   Stats stats_;

@@ -51,6 +51,12 @@ double MilpResult::gap() const {
 
 namespace {
 
+/// OVNES_MILP_DEBUG, read once per process.
+bool milp_debug() {
+  static const bool on = std::getenv("OVNES_MILP_DEBUG") != nullptr;
+  return on;
+}
+
 struct Node {
   // Bound overrides relative to the root model: (var, lower, upper).
   std::vector<std::tuple<int, double, double>> fixes;
@@ -573,7 +579,7 @@ bool evaluate_node(BnbShared& sh, Node& node,
   int frac = -1;
   if (lp_ptr->status == LpStatus::Optimal) {
     frac = choose_branch(sh, sess->model(), *lp_ptr, child_basis, probe_iters);
-    if (frac < 0 && std::getenv("OVNES_MILP_DEBUG") != nullptr &&
+    if (frac < 0 && milp_debug() &&
         sess->model().max_violation(lp_ptr->x) > 1e-5) {
       debug_integral_violation(sess->model(), opts, *lp_ptr);
     }
@@ -1020,7 +1026,7 @@ class BranchAndBound {
             continue;  // re-solve with the cuts enforced
           }
         }
-        if (std::getenv("OVNES_MILP_DEBUG") != nullptr &&
+        if (milp_debug() &&
             sess.model().max_violation(lp->x) > 1e-5) {
           std::fprintf(stderr, "MILP DEBUG dive: violates by %g (obj %g)\n",
                        sess.model().max_violation(lp->x), lp->objective);

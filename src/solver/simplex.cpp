@@ -27,14 +27,20 @@ namespace {
 
 enum class VarStatus : unsigned char { Basic, AtLower, AtUpper };
 
+/// OVNES_SIMPLEX_DEBUG, read once per process.
+bool simplex_debug() {
+  static const bool on = std::getenv("OVNES_SIMPLEX_DEBUG") != nullptr;
+  return on;
+}
+
 /// Internal solver state over the equality system  A x + I s = b  where the
 /// column space is [structural | slacks | artificials].
 class Simplex {
  public:
   Simplex(const LpModel& model, const SimplexOptions& opts,
-          const Basis* warm = nullptr, BasisFactors* kept = nullptr)
+          const Basis* warm, BasisFactors* kept, const SparseMatrix& columns)
       : model_(model), opts_(opts), warm_(warm), kept_(kept),
-        m_(model.num_rows()), n_(model.num_vars()) {
+        m_(model.num_rows()), n_(model.num_vars()), acsc_(columns) {
     build_core();
   }
 
@@ -288,30 +294,6 @@ class Simplex {
     cost_.assign(static_cast<size_t>(total), 0.0);
     status_.assign(static_cast<size_t>(total), VarStatus::AtLower);
 
-    // Structural columns: one CSC view of the model's CSR rows, built with
-    // a counting sort (entries within each column come out row-ascending).
-    acsc_.n_inner = m_;
-    acsc_.ptr.assign(static_cast<size_t>(n_) + 1, 0);
-    for (int i = 0; i < m_; ++i) {
-      for (const Coef& c : model_.row(i).coefs) {
-        ++acsc_.ptr[static_cast<size_t>(c.var) + 1];
-      }
-    }
-    for (int j = 0; j < n_; ++j) {
-      acsc_.ptr[static_cast<size_t>(j) + 1] += acsc_.ptr[static_cast<size_t>(j)];
-    }
-    acsc_.ind.resize(static_cast<size_t>(acsc_.ptr[static_cast<size_t>(n_)]));
-    acsc_.val.resize(acsc_.ind.size());
-    {
-      std::vector<int> next(acsc_.ptr.begin(), acsc_.ptr.end() - 1);
-      for (int i = 0; i < m_; ++i) {
-        for (const Coef& c : model_.row(i).coefs) {
-          const auto pos = static_cast<size_t>(next[static_cast<size_t>(c.var)]++);
-          acsc_.ind[pos] = i;
-          acsc_.val[pos] = c.value;
-        }
-      }
-    }
     for (int j = 0; j < n_; ++j) {
       const Variable& v = model_.variable(j);
       lb_[static_cast<size_t>(j)] = v.lower;
@@ -824,25 +806,20 @@ class Simplex {
       // gathered through the model's CSR rows over ρ's nonzeros — O(nnz of
       // the rows ρ touches), not a dot product per nonbasic column. Slack
       // alphas are ρ's own entries. The candidate scan runs in ascending
-      // column order (structural sorted, then slacks), so Bland's
-      // smallest-index rule sees candidates in index order.
+      // column order (structural, then slacks), so Bland's smallest-index
+      // rule and the first-wins tie rule see candidates in index order.
       int q = -1;
       double best_ratio = kInf;
       double best_mag = 0.0;
       scan_.clear();
-      touched_.clear();
       for (int i = 0; i < m_; ++i) {
         const double ri = rho_[static_cast<size_t>(i)];
         if (ri == 0.0) continue;
         for (const Coef& c : model_.row(i).coefs) {
-          if (!amark_[static_cast<size_t>(c.var)]) {
-            amark_[static_cast<size_t>(c.var)] = 1;
-            touched_.push_back(c.var);
-          }
+          amark_[static_cast<size_t>(c.var)] = 1;
           alpha_[static_cast<size_t>(c.var)] += ri * c.value;
         }
       }
-      std::sort(touched_.begin(), touched_.end());
       const auto consider = [&](int j, double alpha) {
         if (status_[static_cast<size_t>(j)] == VarStatus::Basic) return;
         if (lower(j) == upper(j)) return;
@@ -874,16 +851,19 @@ class Simplex {
           q = j;
         }
       };
-      for (const int j : touched_) {
+      // Structural candidates in ascending index: one walk over the marks,
+      // clearing the gather buffers on the way. It costs O(n) per pivot,
+      // like the O(m) slack scan below, and needs no sort of the touched
+      // columns.
+      for (int j = 0; j < n_; ++j) {
+        if (!amark_[static_cast<size_t>(j)]) continue;
         consider(j, alpha_[static_cast<size_t>(j)]);
+        alpha_[static_cast<size_t>(j)] = 0.0;
+        amark_[static_cast<size_t>(j)] = 0;
       }
       for (int i = 0; i < m_; ++i) {
         if (rho_[static_cast<size_t>(i)] == 0.0) continue;
         consider(n_ + i, rho_[static_cast<size_t>(i)]);
-      }
-      for (const int j : touched_) {
-        alpha_[static_cast<size_t>(j)] = 0.0;
-        amark_[static_cast<size_t>(j)] = 0;
       }
       if (q < 0) return DualOutcome::Abandoned;  // primal infeasible or
                                                  // numerically stuck
@@ -1339,8 +1319,9 @@ class Simplex {
   SimplexOptions opts_;
   const Basis* warm_ = nullptr;
   BasisFactors* kept_ = nullptr;  ///< session's live factors (in/out)
-  bool debug_ = std::getenv("OVNES_SIMPLEX_DEBUG") != nullptr;
+  bool debug_ = simplex_debug();
   int m_, n_;
+  const SparseMatrix& acsc_;  ///< structural columns (CSC), session-owned
   bool phase1_ = true;
   int refactorizations_ = 0;   ///< factorize_columns calls this run
   bool adopted_kept_ = false;  ///< kept factors adopted without refactorize
@@ -1350,7 +1331,6 @@ class Simplex {
   int kernel_max_updates_ = 0;  ///< kernel's eta/border budget (lean handback)
   KernelStats kstats0_;         ///< kernel counters at solve entry (diff base)
 
-  SparseMatrix acsc_;  ///< structural columns, CSC over the model's rows
   SparseMatrix bbuf_;  ///< factorize_columns staging (CSC basis matrix)
   std::vector<double> b_;
   double bnorm_ = 0.0;
@@ -1368,7 +1348,6 @@ class Simplex {
   std::vector<double> galpha_;  ///< Aᵀ·vec gather buffer (pricing)
   std::vector<double> alpha_;   ///< pivot-row gather accumulator (dual loop)
   std::vector<char> amark_;     ///< alpha_ touched marks
-  std::vector<int> touched_;    ///< alpha_ touched structural vars
 };
 
 }  // namespace
@@ -1376,8 +1355,9 @@ class Simplex {
 namespace detail {
 
 LpResult simplex_solve(const LpModel& model, const SimplexOptions& opts,
-                       const Basis* warm, BasisFactors* kept) {
-  return Simplex(model, opts, warm, kept).run();
+                       const Basis* warm, BasisFactors* kept,
+                       const SparseMatrix& columns) {
+  return Simplex(model, opts, warm, kept, columns).run();
 }
 
 }  // namespace detail

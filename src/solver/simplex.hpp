@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "solver/lp_model.hpp"
+#include "solver/sparse.hpp"
 
 namespace ovnes::solver {
 
@@ -173,11 +174,13 @@ namespace detail {
 /// `kept->basis_order` matches the warm basis (absorbing appended rows as
 /// bordered updates), and moves the kernel back out on every exit —
 /// with `basis_order` refreshed after an Optimal solve and cleared after
-/// anything the next solve must not trust.
+/// anything the next solve must not trust. `columns` is the CSC view of
+/// the model's structural columns (LpModel::build_columns), which the
+/// session keeps across solves and rebuilds after the rows change.
 [[nodiscard]] LpResult simplex_solve(const LpModel& model,
                                      const SimplexOptions& opts,
-                                     const Basis* warm,
-                                     BasisFactors* kept = nullptr);
+                                     const Basis* warm, BasisFactors* kept,
+                                     const SparseMatrix& columns);
 
 }  // namespace detail
 

@@ -8,10 +8,15 @@
 //    incumbent basis handle exactly;
 //  * two sessions on distinct models are race-free (TSan job coverage);
 //  * a stale warm basis referencing rows beyond the model's current row
-//    count reports LpStatus::InvalidBasis instead of silently repairing.
+//    count reports LpStatus::InvalidBasis instead of silently repairing;
+//  * the session's column view is rebuilt exactly when the rows change;
+//  * dual ratio ties go to the lowest column index, whatever order the
+//    pivot row's gather met the tied columns in.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <sstream>
@@ -586,6 +591,181 @@ TEST(LpSessionDual, PivotDisagreementAbandonsAfterOneRetry) {
   EXPECT_TRUE(warm.used_warm_start);
   EXPECT_LT(warm.iterations, 1000);
   EXPECT_LT(warm.refactorizations, 20);
+}
+
+// ---------------------------------------------------------------------
+// The session-owned column view. A B&B lane re-solves one set of rows
+// under many bound frames and must build the CSC view once; a frame that
+// changes the rows must rebuild it, even when the row count comes back to
+// a value an older view was built at.
+
+/// Lane setting: no kept factors, so a session solve is a pure function
+/// of (model, warm basis) and can be compared bit for bit with solve_lp.
+SimplexOptions lane_options() {
+  SimplexOptions opts;
+  opts.keep_factors = false;
+  return opts;
+}
+
+/// A cut over every `stride`-th column, violated at `x` (rhs = 0.8·lhs).
+Rowdef violated_cut(const std::vector<double>& x, int first, int stride,
+                    std::uint64_t seed) {
+  RngStream rng(seed);
+  Rowdef row;
+  row.name = "cut" + std::to_string(seed);
+  double lhs = 0.0;
+  for (int j = first; j < static_cast<int>(x.size()); j += stride) {
+    const double a = rng.uniform(0.1, 1.0);
+    row.coefs.push_back({j, a});
+    lhs += a * x[static_cast<size_t>(j)];
+  }
+  row.rhs = 0.8 * lhs;
+  return row;
+}
+
+/// The session's current solve against a one-shot solve_lp of a copy of
+/// its model from the same warm basis: the same answer, bit for bit.
+void expect_matches_one_shot(LpSession& sess, const char* where) {
+  SCOPED_TRACE(where);
+  const SharedBasis warm = sess.basis();
+  ASSERT_NE(warm, nullptr);
+  const LpResult& got = sess.solve();
+  ASSERT_EQ(got.status, LpStatus::Optimal);
+
+  SimplexOptions one_shot = lane_options();
+  one_shot.allow_dual = true;  // what the session forces on
+  const LpModel copy = sess.model();
+  const LpResult want = solve_lp(copy, one_shot, warm.get());
+  EXPECT_EQ(got.status, want.status);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.objective),
+            std::bit_cast<std::uint64_t>(want.objective));
+  EXPECT_EQ(got.x, want.x);
+  EXPECT_EQ(got.basis.status, want.basis.status);
+  EXPECT_EQ(got.iterations, want.iterations);
+}
+
+TEST(LpSessionColumns, RowChangeAtSameRowCountRebuildsColumnView) {
+  LpSession sess(battery_lp(40, 30, 17), lane_options());
+  ASSERT_EQ(sess.solve().status, LpStatus::Optimal);
+  const std::vector<double> x0 = sess.last().x;
+
+  sess.push();
+  sess.add_cut(violated_cut(x0, 0, 2, 1));
+  ASSERT_EQ(sess.solve().status, LpStatus::Optimal);
+  sess.pop();
+  // The pop dropped the cut: solving the base rows again must not reuse
+  // the view built with it. Halving a positive variable's upper bound
+  // makes the solve pivot.
+  int moved = 0;
+  while (x0[static_cast<size_t>(moved)] < 1e-6) ++moved;
+  sess.push();
+  sess.set_bounds(moved, 0.0, 0.5 * x0[static_cast<size_t>(moved)]);
+  expect_matches_one_shot(sess, "after pop");
+  sess.pop();
+
+  // A different row at the same row count as inside the first frame.
+  sess.push();
+  sess.add_cut(violated_cut(x0, 1, 2, 2));
+  expect_matches_one_shot(sess, "different cut");
+  EXPECT_TRUE(sess.last().used_dual_simplex);
+  sess.pop();
+
+  EXPECT_EQ(sess.stats().column_builds, 4);  // base, cut 1, base, cut 2
+}
+
+TEST(LpSessionColumns, BoundOnlyFramesBuildColumnViewOnce) {
+  LpSession sess(battery_lp(40, 30, 23), lane_options());
+  ASSERT_EQ(sess.solve().status, LpStatus::Optimal);
+  for (int k = 0; k < 6; ++k) {
+    sess.push();
+    sess.set_bounds(k, 0.0, 0.5);
+    sess.set_cost(k + 1, 1.0);
+    EXPECT_EQ(sess.solve().status, LpStatus::Optimal) << "frame " << k;
+    sess.pop();
+  }
+  ASSERT_EQ(sess.solve().status, LpStatus::Optimal);
+  EXPECT_EQ(sess.stats().solves, 8);
+  EXPECT_EQ(sess.stats().column_builds, 1);
+}
+
+// ---------------------------------------------------------------------
+// Dual ratio-test order. Candidates with exactly tied ratios and pivot
+// magnitudes go to the first one priced, which must be the lowest column
+// index, whatever order the pivot row's gather met them in.
+
+/// An LP whose first dual pivot from `warm` has two candidates tied
+/// exactly on ratio and pivot magnitude: `winner` (the lower index) must
+/// enter, `loser` stay at its lower bound.
+struct TieCase {
+  const char* name;
+  LpModel model;
+  Basis warm;
+  int winner;
+  int loser;
+};
+
+/// Warm basis with every variable at its lower bound and the slacks of
+/// `basic_rows` basic, plus `basic_vars`.
+Basis lower_bound_basis(const LpModel& m, const std::vector<int>& basic_vars,
+                        const std::vector<int>& basic_rows) {
+  Basis warm;
+  warm.num_vars = m.num_vars();
+  warm.num_rows = m.num_rows();
+  warm.status.assign(static_cast<size_t>(m.num_vars() + m.num_rows()),
+                     Basis::Status::AtLower);
+  for (const int j : basic_vars) {
+    warm.status[static_cast<size_t>(j)] = Basis::Status::Basic;
+  }
+  for (const int i : basic_rows) {
+    warm.status[static_cast<size_t>(m.num_vars() + i)] = Basis::Status::Basic;
+  }
+  return warm;
+}
+
+/// Tied candidates gathered out of index order: x1 sits in row 0 and x0 in
+/// row 1, so the pivot row (which spans both rows) meets x1 first.
+///   min x0 + z   s.t.  z - x1 = 0,  z + x0 >= 1,  0 <= x0, x1, z <= 2,
+/// from the basis {z, slack of row 1}: x0 and x1 both price at ratio 1
+/// with pivot 1, and x0 must enter.
+TieCase gather_order_case() {
+  LpModel m;
+  const int x0 = m.add_variable("x0", 0.0, 2.0, 1.0);
+  const int x1 = m.add_variable("x1", 0.0, 2.0, 0.0);
+  const int z = m.add_variable("z", 0.0, 2.0, 1.0);
+  m.add_row("track", RowSense::Equal, 0.0, {{x1, -1.0}, {z, 1.0}});
+  m.add_row("need", RowSense::GreaterEq, 1.0, {{x0, 1.0}, {z, 1.0}});
+  Basis warm = lower_bound_basis(m, {z}, {1});
+  return {"gather order", std::move(m), std::move(warm), x0, x1};
+}
+
+/// Twin columns a < b (identical cost and coefficients). From the slack
+/// basis at x = 0 the row a + b >= 1 is violated and both twins price at
+/// ratio 1 with pivot 1; a must enter.
+TieCase twin_columns_case() {
+  LpModel m;
+  const int a = m.add_variable("a", 0.0, 2.0, 1.0);
+  const int b = m.add_variable("b", 0.0, 2.0, 1.0);
+  m.add_row("cap", RowSense::LessEq, 10.0, {{a, 1.0}, {b, 1.0}});
+  m.add_row("need", RowSense::GreaterEq, 1.0, {{a, 1.0}, {b, 1.0}});
+  Basis warm = lower_bound_basis(m, {}, {0, 1});
+  return {"twin columns", std::move(m), std::move(warm), a, b};
+}
+
+TEST(LpSessionDual, TieBreakFollowsIndexNotGatherOrder) {
+  for (TieCase c : {gather_order_case(), twin_columns_case()}) {
+    SCOPED_TRACE(c.name);
+    LpSession sess(std::move(c.model));
+    sess.set_warm_basis(std::make_shared<const Basis>(std::move(c.warm)));
+    const LpResult& r = sess.solve();
+    ASSERT_EQ(r.status, LpStatus::Optimal);
+    EXPECT_TRUE(r.used_dual_simplex);
+    EXPECT_EQ(r.iterations, 1);
+    EXPECT_EQ(r.objective, 1.0);
+    EXPECT_EQ(r.basis.status[static_cast<size_t>(c.winner)],
+              Basis::Status::Basic);
+    EXPECT_EQ(r.basis.status[static_cast<size_t>(c.loser)],
+              Basis::Status::AtLower);
+  }
 }
 
 }  // namespace
