@@ -11,7 +11,8 @@ Two modes:
       baseline (run `bench_regression --out BENCH_10.json` and commit it).
       `timing` duration fields (*_ms / *_sec) must stay within a factor of
       --band of the baseline; fields whose baseline is below the noise
-      floor (5 ms / 0.005 s) are skipped, and rate / latency-percentile
+      floor (5 ms / 0.005 s) are skipped, and rate (*_per_sec, matched
+      before the *_sec duration rule) and latency-percentile (*_us)
       fields are reported but never gated — shared-runner timing is
       trend-grade, the band only catches order-of-magnitude cliffs.
 
@@ -50,6 +51,7 @@ import os
 import sys
 
 NOISE_FLOORS = {"_ms": 5.0, "_sec": 0.005}
+RATE_SUFFIX = "_per_sec"  # ends in "_sec" too, so it is matched first
 
 
 def load(path):
@@ -72,6 +74,8 @@ def by_name(report):
 
 def gated_timing_field(name, baseline_value):
     """A timing field is gated iff it is a duration above the noise floor."""
+    if name.endswith(RATE_SUFFIX):
+        return False  # a rate, e.g. scenarios_per_sec: informational only
     for suffix, floor in NOISE_FLOORS.items():
         if name.endswith(suffix):
             return baseline_value >= floor

@@ -144,11 +144,11 @@ EpochReport Simulation::run_epoch() {
   if (must_solve) {
     std::vector<acrr::TenantModel> tenants;
     tenants.reserve(active_.size() + arrivals.size());
-    for (const ActiveSlice& s : active_) {
+    for (std::size_t i = 0; i < active_.size(); ++i) {
+      const ActiveSlice& s = active_[i];
       acrr::TenantModel tm;
       tm.request = s.request;
-      const forecast::Forecast fc =
-          admission_forecast(s.request, &runtime_.at(s.request.name));
+      const forecast::Forecast fc = admission_forecast(s.request, &runtime_[i]);
       tm.lambda_hat = fc.value;
       tm.sigma_hat = fc.uncertainty;
       tm.pinned_cu = s.cu;
@@ -220,7 +220,7 @@ EpochReport Simulation::run_epoch() {
       report.accepted.push_back(p.request.name);
       manager_.mark_active(p.request.name, epoch_,
                            topo_.cu(s.cu).name);
-      runtime_[p.request.name] = std::move(rt);
+      runtime_.push_back(std::move(rt));
       active_.push_back(std::move(s));
     }
 
@@ -250,7 +250,7 @@ EpochReport Simulation::run_epoch() {
     const std::size_t sample_idx = sample_counter_++;
     for (std::size_t i = 0; i < active_.size(); ++i) {
       ActiveSlice& s = active_[i];
-      SliceRuntime& rt = runtime_.at(s.request.name);
+      SliceRuntime& rt = runtime_[i];
       const Money k_share = s.request.penalty_rate() /
                             static_cast<double>(b_count);
       double delivered_sum = 0.0;
@@ -265,8 +265,6 @@ EpochReport Simulation::run_epoch() {
         // (§2.1.3) and carries no penalty.
         ledger_.add_sample(within_sla, within_sla - mb.dropped_overflow,
                            k_share);
-        monitor_.append("load/" + s.request.name + "/bs" + std::to_string(bi),
-                        static_cast<double>(sample_idx), offered);
         epoch_peak[i][bi] = std::max(epoch_peak[i][bi], offered);
         delivered_sum += mb.delivered;
         // Usage accounting (mean over samples).
@@ -312,9 +310,8 @@ EpochReport Simulation::run_epoch() {
   // ---- 4. Rewards, forecaster updates, expiry.
   for (std::size_t i = 0; i < active_.size(); ++i) {
     ledger_.add_reward(active_[i].request.tmpl.reward);
-    SliceRuntime& rt = runtime_.at(active_[i].request.name);
     for (std::size_t bi = 0; bi < b_count; ++bi) {
-      rt.forecaster[bi]->observe(epoch_peak[i][bi]);
+      runtime_[i].forecaster[bi]->observe(epoch_peak[i][bi]);
     }
   }
   report.active_slices = active_.size();
@@ -342,11 +339,14 @@ EpochReport Simulation::run_epoch() {
         bs.mbps_per_prb;
   }
 
+  // Survivors keep their order in both vectors, so runtime_ stays
+  // index-aligned with active_.
   std::vector<ActiveSlice> still;
-  for (ActiveSlice& s : active_) {
+  std::vector<SliceRuntime> still_runtime;
+  for (std::size_t i = 0; i < active_.size(); ++i) {
+    ActiveSlice& s = active_[i];
     if (--s.remaining_epochs == 0) {
       report.expired.push_back(s.request.name);
-      runtime_.erase(s.request.name);
       // Teardown: release every domain's share of the slice.
       ran_.release(s.request.name);
       transport_.release(s.request.name);
@@ -354,9 +354,11 @@ EpochReport Simulation::run_epoch() {
       manager_.mark_expired(s.request.name, epoch_);
     } else {
       still.push_back(std::move(s));
+      still_runtime.push_back(std::move(runtime_[i]));
     }
   }
   active_ = std::move(still);
+  runtime_ = std::move(still_runtime);
 
   ++epoch_;
   return report;

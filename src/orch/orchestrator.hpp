@@ -16,7 +16,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -25,7 +24,6 @@
 #include "acrr/benders.hpp"
 #include "acrr/kac.hpp"
 #include "common/rng.hpp"
-#include "common/time_series.hpp"
 #include "dataplane/middlebox.hpp"
 #include "forecast/smoothing.hpp"
 #include "orch/controllers.hpp"
@@ -136,7 +134,6 @@ class Simulation {
   [[nodiscard]] const topo::Topology& topology() const { return topo_; }
   [[nodiscard]] const std::vector<ActiveSlice>& active() const { return active_; }
   [[nodiscard]] std::size_t current_epoch() const { return epoch_; }
-  [[nodiscard]] const TimeSeriesStore& monitoring() const { return monitor_; }
   /// Cumulative net revenue (Fig. 8a).
   [[nodiscard]] Money cumulative_net_revenue() const { return ledger_.net_revenue(); }
 
@@ -190,9 +187,8 @@ class Simulation {
 
   std::vector<PendingRequest> pending_;
   std::vector<ActiveSlice> active_;
-  std::map<std::string, SliceRuntime> runtime_;  ///< keyed by slice name
+  std::vector<SliceRuntime> runtime_;  ///< index-aligned with active_
   slice::RevenueLedger ledger_;
-  TimeSeriesStore monitor_;
   std::size_t epoch_ = 0;
   std::size_t sample_counter_ = 0;
 };

@@ -9,6 +9,7 @@
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "exec/thread_pool.hpp"
 #include "topo/generators.hpp"
 
 namespace ovnes::scn {
@@ -25,59 +26,65 @@ slice::SliceType draw_type(RngStream& rng) {
   return slice::SliceType::uRLLC;
 }
 
+/// Scenario i of the sweep. Every draw comes from children of `root` keyed
+/// by ("scenario", i), so the config is a pure function of (cfg, i) and any
+/// lane may build it.
+orch::ScenarioConfig make_scenario(const SlaRiskConfig& cfg,
+                                   const RngStream& root, std::size_t i) {
+  RngStream sr = root.derive("scenario", i);
+  orch::ScenarioConfig sc;
+  if (cfg.topology_factory) {
+    sc.topology_factory = [factory = cfg.topology_factory, i] {
+      return factory(i);
+    };
+  } else {
+    // Edge compute deliberately below the 20·N paper sizing so admission
+    // is contended; abundant core behind the default 20 ms delay.
+    sc.topology_factory = [num_bs = cfg.num_bs,
+                           cores = cfg.edge_cores_per_bs] {
+      const auto n = static_cast<double>(num_bs);
+      return topo::make_mini(num_bs, cores * n, 100.0 * n);
+    };
+  }
+  sc.seed = sr.derive("sim").seed();
+  sc.k_paths = cfg.k_paths;
+  sc.algorithm = cfg.algorithm;
+  sc.samples_per_epoch = cfg.samples_per_epoch;
+  sc.min_epochs = cfg.min_epochs;
+  sc.max_epochs = cfg.max_epochs;
+  sc.target_rse = 0.0;  // budget-bounded: always run max_epochs
+  sc.forecast_bias = cfg.forecast.bias;
+  sc.forecast_noise = cfg.forecast.noise;
+  const auto n_tenants = static_cast<std::size_t>(
+      sr.derive("tenants").uniform_int(
+          static_cast<std::int64_t>(cfg.tenants_min),
+          static_cast<std::int64_t>(cfg.tenants_max)));
+  sc.tenants.reserve(n_tenants);
+  for (std::size_t t = 0; t < n_tenants; ++t) {
+    RngStream tr = sr.derive("tenant", t);
+    orch::TenantSpec spec;
+    spec.type = draw_type(tr);
+    const double scale = sample_heavy_tail(tr, cfg.load_tail);
+    spec.alpha = std::min(cfg.alpha_cap, cfg.base_alpha * scale);
+    spec.sigma_ratio = cfg.sigma_ratio;
+    spec.penalty_m = cfg.penalty_m;
+    sc.tenants.push_back(spec);
+  }
+  return sc;
+}
+
 }  // namespace
 
 SlaRiskResult run_sla_risk_sweep(const SlaRiskConfig& cfg,
                                  exec::ThreadPool* pool) {
+  exec::ThreadPool& lanes =
+      pool != nullptr ? *pool : exec::ThreadPool::global();
   const RngStream root(cfg.seed);
-  std::vector<orch::ScenarioConfig> scenarios;
-  scenarios.reserve(cfg.scenarios);
-  for (std::size_t i = 0; i < cfg.scenarios; ++i) {
-    RngStream sr = root.derive("scenario", i);
-    orch::ScenarioConfig sc;
-    if (cfg.topology_factory) {
-      sc.topology_factory = [factory = cfg.topology_factory, i] {
-        return factory(i);
-      };
-    } else {
-      // Edge compute deliberately below the 20·N paper sizing so admission
-      // is contended; abundant core behind the default 20 ms delay.
-      sc.topology_factory = [num_bs = cfg.num_bs,
-                             cores = cfg.edge_cores_per_bs] {
-        const auto n = static_cast<double>(num_bs);
-        return topo::make_mini(num_bs, cores * n, 100.0 * n);
-      };
-    }
-    sc.seed = sr.derive("sim").seed();
-    sc.k_paths = cfg.k_paths;
-    sc.algorithm = cfg.algorithm;
-    sc.samples_per_epoch = cfg.samples_per_epoch;
-    sc.min_epochs = cfg.min_epochs;
-    sc.max_epochs = cfg.max_epochs;
-    sc.target_rse = 0.0;  // budget-bounded: always run max_epochs
-    sc.forecast_bias = cfg.forecast.bias;
-    sc.forecast_noise = cfg.forecast.noise;
-    const auto n_tenants = static_cast<std::size_t>(
-        sr.derive("tenants").uniform_int(
-            static_cast<std::int64_t>(cfg.tenants_min),
-            static_cast<std::int64_t>(cfg.tenants_max)));
-    sc.tenants.reserve(n_tenants);
-    for (std::size_t t = 0; t < n_tenants; ++t) {
-      RngStream tr = sr.derive("tenant", t);
-      orch::TenantSpec spec;
-      spec.type = draw_type(tr);
-      const double scale = sample_heavy_tail(tr, cfg.load_tail);
-      spec.alpha = std::min(cfg.alpha_cap, cfg.base_alpha * scale);
-      spec.sigma_ratio = cfg.sigma_ratio;
-      spec.penalty_m = cfg.penalty_m;
-      sc.tenants.push_back(spec);
-    }
-    scenarios.push_back(std::move(sc));
-  }
-
+  std::vector<orch::ScenarioResult> results(cfg.scenarios);
   const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<orch::ScenarioResult> results =
-      orch::run_scenarios(scenarios, pool);
+  lanes.parallel_for(0, cfg.scenarios, [&](std::size_t i) {
+    results[i] = orch::run_scenario(make_scenario(cfg, root, i));
+  });
   const auto t1 = std::chrono::steady_clock::now();
 
   SlaRiskResult agg;

@@ -1,14 +1,16 @@
 // Monte Carlo SLA-risk sweeps: thousands of independent admission scenarios
-// through orch::run_scenarios on the exec pool.
+// fanned out over the exec pool. Each lane builds scenario i's config and
+// runs it through orch::run_scenario.
 //
 // Each scenario i draws its instance (tenant count, per-tenant load factors
 // from a heavy-tailed law, slice-type mix, forecast error) from RngStream
 // children keyed by ("scenario", i) off the sweep seed — so scenario i's
-// configuration is a pure function of (config, i), independent of sweep
-// order and OVNES_THREADS (common/rng.hpp splittability contract). Results
-// come back in insertion order; the aggregate (risk quantiles plus a digest
-// over the canonical per-scenario rows) is therefore byte-stable at any
-// thread count — bench_regression pins it as a correctness field.
+// configuration is a pure function of (config, i), independent of which
+// lane builds it, sweep order and OVNES_THREADS (common/rng.hpp
+// splittability contract). Results are stored by scenario index; the
+// aggregate (risk quantiles plus a digest over the canonical per-scenario
+// rows) is therefore byte-stable at any thread count — bench_regression
+// pins it as a correctness field.
 #pragma once
 
 #include <cstddef>
@@ -65,7 +67,9 @@ struct SlaRiskResult {
   double violation_minutes_max = 0.0;
   double mean_overbooked_mbps = 0.0;
   std::uint64_t rows_digest = 0;     ///< FNV over canonical per-scenario rows
-  double wall_sec = 0.0;             ///< sweep wall time (not digest-covered)
+  /// Sweep wall time, including building each scenario's config on the
+  /// lanes (not digest-covered).
+  double wall_sec = 0.0;
 };
 
 /// Run the sweep on `pool` (global pool when null). Deterministic up to

@@ -1,5 +1,5 @@
 // Unit tests for src/common: RNG streams, running stats, empirical
-// distributions, time-series store, JSON round-trip, row formatting.
+// distributions, JSON round-trip, row formatting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "common/time_series.hpp"
 
 namespace ovnes {
 namespace {
@@ -178,29 +177,6 @@ TEST(EmpiricalDistribution, CdfSeriesMonotone) {
     EXPECT_GE(series[i].second, series[i - 1].second);
   }
   EXPECT_DOUBLE_EQ(series.back().second, 1.0);
-}
-
-// ------------------------------------------------------------ TimeSeriesStore
-
-TEST(TimeSeriesStore, AppendAndRange) {
-  TimeSeriesStore ts;
-  for (int i = 0; i < 10; ++i) ts.append("load/t0", i, i * 2.0);
-  EXPECT_EQ(ts.series("load/t0").size(), 10u);
-  EXPECT_EQ(ts.range("load/t0", 2.0, 5.0).size(), 3u);
-  EXPECT_TRUE(ts.series("unknown").empty());
-}
-
-TEST(TimeSeriesStore, MaxInWindowIsPeakAggregation) {
-  // λ(t) = max over monitoring samples in the epoch (§2.2.2).
-  TimeSeriesStore ts;
-  ts.append("l", 0.0, 5.0);
-  ts.append("l", 0.5, 9.0);
-  ts.append("l", 0.9, 7.0);
-  ts.append("l", 1.0, 100.0);  // next epoch
-  const auto peak = ts.max_in("l", 0.0, 1.0);
-  ASSERT_TRUE(peak.has_value());
-  EXPECT_DOUBLE_EQ(*peak, 9.0);
-  EXPECT_FALSE(ts.max_in("l", 5.0, 6.0).has_value());
 }
 
 // ---------------------------------------------------------------------- JSON

@@ -216,6 +216,63 @@ TEST(Simulation, SingleTreeSharesCutPoolAcrossEpochs) {
   EXPECT_GE(r2.violation_minutes, 0.0);
 }
 
+TEST(Simulation, RuntimeStaysAlignedAcrossExpiryAndRetry) {
+  // Durations 1-4, staggered arrivals and retried rejects make slices leave
+  // from the front and the middle of the active set while others join at
+  // the back. Each slice samples its own demand process (realized at 1.5x
+  // its declaration, so epoch 3 overruns), so a runtime paired with the
+  // wrong slice changes the sampled load. The literals were captured
+  // before the per-slice runtime moved from a name-keyed map to a vector.
+  OrchestratorConfig cfg = fast_cfg(Algorithm::Benders);
+  cfg.retry_rejected = true;
+  Simulation sim(topo::make_testbed(), 2, cfg);
+  struct Spec {
+    SliceType type;
+    std::size_t arrival, duration;
+    double mean, std_dev;
+  };
+  const Spec specs[] = {
+      {SliceType::eMBB, 0, 3, 20.0, 4.0},  {SliceType::mMTC, 0, 4, 10.0, 0.0},
+      {SliceType::uRLLC, 0, 1, 12.5, 1.25}, {SliceType::mMTC, 1, 2, 8.0, 0.0},
+      {SliceType::eMBB, 1, 4, 30.0, 6.0},  {SliceType::uRLLC, 2, 2, 10.0, 2.0},
+      {SliceType::mMTC, 2, 3, 10.0, 0.0},  {SliceType::eMBB, 3, 1, 15.0, 3.0},
+      {SliceType::uRLLC, 3, 4, 12.0, 1.2}};
+  std::uint32_t id = 0;
+  for (const Spec& sp : specs) {
+    sim.submit(request(id++, sp.type, sp.arrival, sp.duration, sp.mean,
+                       sp.std_dev),
+               gaussian_factory(1.5 * sp.mean, 2.0 * sp.std_dev));
+  }
+  struct Expected {
+    double net_revenue;
+    std::size_t violations;
+    double radio_load[2];
+  };
+  const Expected expected[] = {
+      {6.2000000000000002, 0, {42.077615378036754, 37.419481664333908}},
+      {4.9999999999999991, 0, {52.344788327199439, 54.539587393023879}},
+      {7.1999999999999993, 0, {62.030472420856555, 66.68804053989291}},
+      {8.2316088334484263, 10, {72.015043440132573, 71.401838762493924}},
+      {6.2000000000000028, 0, {48.226708175324937, 47.12681447591617}},
+      {5.2000000000000028, 0, {18.50192711445089, 19.304671892825684}}};
+  const std::vector<EpochReport> reports = sim.run(6);
+  // The run exercises what the test is about: a retried reject admitted
+  // later, and expiries from the middle of the active set.
+  EXPECT_EQ(reports[3].expired,
+            (std::vector<std::string>{"mmtc1", "urllc5", "embb7"}));
+  EXPECT_EQ(reports[4].accepted, std::vector<std::string>{"mmtc3"});
+  for (std::size_t e = 0; e < reports.size(); ++e) {
+    SCOPED_TRACE("epoch " + std::to_string(e));
+    const EpochReport& r = reports[e];
+    EXPECT_DOUBLE_EQ(r.net_revenue, expected[e].net_revenue);
+    EXPECT_EQ(r.violations, expected[e].violations);
+    ASSERT_EQ(r.usage.radio_load.size(), 2u);
+    for (std::size_t b = 0; b < 2; ++b) {
+      EXPECT_DOUBLE_EQ(r.usage.radio_load[b], expected[e].radio_load[b]);
+    }
+  }
+}
+
 // ---------------------------------------------------------------- Scenarios
 
 TEST(Scenario, BuildersProduceRequestedMixes) {

@@ -1,10 +1,13 @@
 // Unit tests for src/scn: topology-family determinism and structure,
 // traffic-model distribution sanity, Monte Carlo sweep thread-count
-// independence, forecast-error stress, and service-day script determinism.
+// independence and pinned digests, forecast-error stress, and service-day
+// script determinism.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "exec/thread_pool.hpp"
@@ -155,6 +158,13 @@ TEST(ScnTraffic, ForecastBiasShiftsRealizedMean) {
 
 // ----------------------------------------------------- Monte Carlo sweeps
 
+/// A digest as the 16-digit hex string bench_regression reports.
+std::string hex64(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
 TEST(ScnMonteCarlo, DigestIndependentOfThreadCount) {
   scn::SlaRiskConfig cfg;
   cfg.scenarios = 24;
@@ -166,6 +176,36 @@ TEST(ScnMonteCarlo, DigestIndependentOfThreadCount) {
   EXPECT_DOUBLE_EQ(a.accept_rate, b.accept_rate);
   EXPECT_DOUBLE_EQ(a.violation_minutes_p95, b.violation_minutes_p95);
   EXPECT_EQ(a.scenarios, 24u);
+}
+
+TEST(ScnMonteCarlo, DigestPinnedAcrossRefactor) {
+  // Literals captured before scenario configs were built on the lanes and
+  // the per-sample monitoring store was removed: every draw, and so every
+  // row, must be unchanged at any lane count.
+  scn::SlaRiskConfig mini;
+  mini.scenarios = 200;
+  mini.forecast.bias = 0.2;
+  scn::SlaRiskConfig metro;
+  metro.scenarios = 24;
+  metro.topology_factory = [](std::size_t i) {
+    scn::MetroConfig mc;
+    mc.num_bs = 8;
+    mc.core_switches = 3;
+    mc.agg_per_core = 2;
+    mc.edge_cu_sites = 1;
+    mc.seed = 100 + i;
+    return scn::make_metro(mc);
+  };
+  for (const std::size_t lanes : {1, 3}) {
+    SCOPED_TRACE("lanes " + std::to_string(lanes));
+    exec::ThreadPool pool(lanes);
+    const scn::SlaRiskResult m = scn::run_sla_risk_sweep(mini, &pool);
+    EXPECT_EQ(hex64(m.rows_digest), "d06bf99d87f0d786");
+    EXPECT_DOUBLE_EQ(m.mean_net_revenue, 4.5724631939329203);
+    const scn::SlaRiskResult t = scn::run_sla_risk_sweep(metro, &pool);
+    EXPECT_EQ(hex64(t.rows_digest), "65132f07a72287d4");
+    EXPECT_DOUBLE_EQ(t.mean_net_revenue, 13.449181160015964);
+  }
 }
 
 TEST(ScnMonteCarlo, ForecastBiasCreatesViolationMinutes) {
