@@ -26,7 +26,7 @@ MasterModel build_master(const AcrrInstance& inst, bool with_theta) {
   for (std::size_t j = 0; j < vars.size(); ++j) {
     const VarInfo& v = vars[j];
     m.x_col[j] = m.lp.add_binary("x" + std::to_string(j),
-                                 v.sla * v.w - v.reward_share,
+                                 first_stage_coef(v),
                                  /*branch_priority=*/10);
     theta_lb -= v.w * v.sla;
   }
@@ -117,53 +117,70 @@ MasterModel build_master(const AcrrInstance& inst, bool with_theta) {
     // providing them up front saves most feasibility iterations. Under the
     // §3.4 big-M relaxation capacities are soft, so the seeds are invalid
     // and skipped (the relaxed slave's optimality cuts handle everything).
-    if (inst.config().allow_deficit) return m;
-    const topo::Topology& topo = inst.topology();
-    for (std::size_t ci = 0; ci < inst.num_cu(); ++ci) {
-      std::vector<Coef> coefs;
-      for (std::size_t j = 0; j < vars.size(); ++j) {
-        const VarInfo& v = vars[j];
-        if (v.cu.index() != ci) continue;
-        const auto& svc =
-            inst.tenants()[static_cast<size_t>(v.tenant)].request.tmpl.service;
-        const double usage = svc.baseline / static_cast<double>(inst.num_bs()) +
-                             svc.cores_per_mbps * v.lambda_hat;
-        if (usage > 0.0) coefs.push_back({m.x_col[j], usage});
-      }
-      if (!coefs.empty()) {
-        m.lp.add_row("seed_cu" + std::to_string(ci), RowSense::LessEq,
-                     topo.cu(CuId(static_cast<std::uint32_t>(ci))).capacity,
-                     std::move(coefs));
-      }
-    }
-    std::map<std::uint32_t, std::vector<Coef>> link_rows;
-    for (std::size_t j = 0; j < vars.size(); ++j) {
-      if (vars[j].lambda_hat <= 0.0) continue;
-      for (LinkId e : vars[j].path->links) {
-        link_rows[e.value()].push_back(
-            {m.x_col[j], topo.graph.link(e).overhead * vars[j].lambda_hat});
-      }
-    }
-    for (auto& [id, coefs] : link_rows) {
-      m.lp.add_row("seed_link" + std::to_string(id), RowSense::LessEq,
-                   topo.graph.link(LinkId(id)).capacity, std::move(coefs));
-    }
-    for (std::size_t bi = 0; bi < inst.num_bs(); ++bi) {
-      std::vector<Coef> coefs;
-      for (std::size_t j = 0; j < vars.size(); ++j) {
-        const VarInfo& v = vars[j];
-        if (v.bs.index() == bi && v.lambda_hat > 0.0) {
-          coefs.push_back({m.x_col[j], v.radio_prbs_per_mbps * v.lambda_hat});
-        }
-      }
-      if (!coefs.empty()) {
-        m.lp.add_row("seed_bs" + std::to_string(bi), RowSense::LessEq,
-                     topo.bs(BsId(static_cast<std::uint32_t>(bi))).capacity,
-                     std::move(coefs));
-      }
+    if (!inst.config().allow_deficit) {
+      add_usage_rows(inst, m, &VarInfo::lambda_hat, "seed_");
     }
   }
   return m;
+}
+
+double first_stage_cost(const AcrrInstance& inst,
+                        const std::vector<char>& x_active) {
+  double cost = 0.0;
+  for (std::size_t j = 0; j < x_active.size(); ++j) {
+    if (x_active[j]) cost += first_stage_coef(inst.vars()[j]);
+  }
+  return cost;
+}
+
+void add_usage_rows(const AcrrInstance& inst, MasterModel& m,
+                    double VarInfo::*level, const std::string& prefix) {
+  using namespace ovnes::solver;
+  const auto& vars = inst.vars();
+  const topo::Topology& topo = inst.topology();
+  for (std::size_t ci = 0; ci < inst.num_cu(); ++ci) {
+    std::vector<Coef> coefs;
+    for (std::size_t j = 0; j < vars.size(); ++j) {
+      const VarInfo& v = vars[j];
+      if (v.cu.index() != ci) continue;
+      const auto& svc =
+          inst.tenants()[static_cast<size_t>(v.tenant)].request.tmpl.service;
+      const double usage = svc.baseline / static_cast<double>(inst.num_bs()) +
+                           svc.cores_per_mbps * v.*level;
+      if (usage > 0.0) coefs.push_back({m.x_col[j], usage});
+    }
+    if (!coefs.empty()) {
+      m.lp.add_row(prefix + "cu" + std::to_string(ci), RowSense::LessEq,
+                   topo.cu(CuId(static_cast<std::uint32_t>(ci))).capacity,
+                   std::move(coefs));
+    }
+  }
+  std::map<std::uint32_t, std::vector<Coef>> link_rows;
+  for (std::size_t j = 0; j < vars.size(); ++j) {
+    if (vars[j].*level <= 0.0) continue;
+    for (LinkId e : vars[j].path->links) {
+      link_rows[e.value()].push_back(
+          {m.x_col[j], topo.graph.link(e).overhead * vars[j].*level});
+    }
+  }
+  for (auto& [id, coefs] : link_rows) {
+    m.lp.add_row(prefix + "link" + std::to_string(id), RowSense::LessEq,
+                 topo.graph.link(LinkId(id)).capacity, std::move(coefs));
+  }
+  for (std::size_t bi = 0; bi < inst.num_bs(); ++bi) {
+    std::vector<Coef> coefs;
+    for (std::size_t j = 0; j < vars.size(); ++j) {
+      const VarInfo& v = vars[j];
+      if (v.bs.index() == bi && v.*level > 0.0) {
+        coefs.push_back({m.x_col[j], v.radio_prbs_per_mbps * v.*level});
+      }
+    }
+    if (!coefs.empty()) {
+      m.lp.add_row(prefix + "bs" + std::to_string(bi), RowSense::LessEq,
+                   topo.bs(BsId(static_cast<std::uint32_t>(bi))).capacity,
+                   std::move(coefs));
+    }
+  }
 }
 
 std::vector<char> extract_active(const MasterModel& m,
@@ -179,7 +196,6 @@ AdmissionResult assemble_result(const AcrrInstance& inst,
                                 const std::vector<char>& active,
                                 const std::vector<double>& z) {
   AdmissionResult res;
-  const auto& vars = inst.vars();
   res.admitted.assign(inst.tenants().size(), std::nullopt);
   for (std::size_t t = 0; t < inst.tenants().size(); ++t) {
     // Find the CU with active variables for this tenant.
@@ -203,7 +219,6 @@ AdmissionResult assemble_result(const AcrrInstance& inst,
       }
     }
   }
-  (void)vars;
   return res;
 }
 
@@ -252,17 +267,6 @@ AdmissionResult solve_benders_single_tree(const AcrrInstance& inst,
   SlaveProblem core_slave(inst);
   const bool deficit = inst.config().allow_deficit;
   const auto& vars = inst.vars();
-
-  const auto first_stage_cost = [&vars](const std::vector<char>& x_active) {
-    double cost = 0.0;
-    for (std::size_t j = 0; j < x_active.size(); ++j) {
-      if (x_active[j]) {
-        const VarInfo& v = vars[j];
-        cost += v.sla * v.w - v.reward_share;
-      }
-    }
-    return cost;
-  };
 
   CutPool owned_pool;
   CutPool* pool = opts.cut_pool != nullptr ? opts.cut_pool : &owned_pool;
@@ -328,7 +332,8 @@ AdmissionResult solve_benders_single_tree(const AcrrInstance& inst,
       // survives (Algorithm 1 line 12). A fractional root point rounds to
       // an activation that need not satisfy the master rows, so its price
       // is no admission's value and must not become the incumbent.
-      const double gamma = first_stage_cost(active) + sr.objective;
+      const double gamma =
+          detail::first_stage_cost(inst, active) + sr.objective;
       if (ctx.integral && gamma < ub) {
         ub = gamma;
         best_active = active;
@@ -424,18 +429,6 @@ AdmissionResult solve_benders(const AcrrInstance& inst,
   const bool deficit = inst.config().allow_deficit;
   const auto& vars = inst.vars();
 
-  // First-stage cost Σ (w·Λ − R/B) over the active variables of x̄.
-  const auto first_stage_cost = [&vars](const std::vector<char>& x_active) {
-    double cost = 0.0;
-    for (std::size_t j = 0; j < x_active.size(); ++j) {
-      if (x_active[j]) {
-        const VarInfo& v = vars[j];
-        cost += v.sla * v.w - v.reward_share;
-      }
-    }
-    return cost;
-  };
-
   double ub = kInf;
   double lb = -kInf;
   std::vector<char> best_active;
@@ -530,7 +523,8 @@ AdmissionResult solve_benders(const AcrrInstance& inst,
         !sr.feasible && sr.cut.coefs.empty() && sr.cut.constant <= 0.0;
     if (sr.feasible) {
       // Γ = first-stage cost at x̄ + slave optimum (Algorithm 1, line 12).
-      const double gamma = first_stage_cost(active) + sr.objective;
+      const double gamma =
+          detail::first_stage_cost(inst, active) + sr.objective;
       if (gamma < ub) {
         ub = gamma;
         best_active = active;
@@ -562,7 +556,8 @@ AdmissionResult solve_benders(const AcrrInstance& inst,
       const std::string suffix =
           std::to_string(iter) + "p" + std::to_string(p);
       if (pr.feasible) {
-        const double gamma = first_stage_cost(probe_x[p]) + pr.objective;
+        const double gamma =
+            detail::first_stage_cost(inst, probe_x[p]) + pr.objective;
         if (gamma < ub) {
           ub = gamma;
           best_active = probe_x[p];
@@ -622,55 +617,12 @@ AdmissionResult solve_no_overbooking(const AcrrInstance& inst,
   }
   const auto t0 = std::chrono::steady_clock::now();
 
-  // Full MILP with z ≡ Λ·x: capacities become linear in x directly.
+  // Full MILP with z ≡ Λ·x: the capacity rows (14)-(16) become linear in x
+  // directly, priced at Λ.
   detail::MasterModel m = detail::build_master(inst, /*with_theta=*/false);
   const auto& vars = inst.vars();
-  const topo::Topology& topo = inst.topology();
 
-  // Compute rows: Σ (a/B + b·Λ)·x <= C_c.
-  for (std::size_t ci = 0; ci < inst.num_cu(); ++ci) {
-    std::vector<Coef> coefs;
-    for (std::size_t j = 0; j < vars.size(); ++j) {
-      const VarInfo& v = vars[j];
-      if (v.cu.index() != ci) continue;
-      const auto& svc =
-          inst.tenants()[static_cast<size_t>(v.tenant)].request.tmpl.service;
-      const double usage = svc.baseline / static_cast<double>(inst.num_bs()) +
-                           svc.cores_per_mbps * v.sla;
-      if (usage > 0.0) coefs.push_back({m.x_col[j], usage});
-    }
-    if (!coefs.empty()) {
-      m.lp.add_row("cu" + std::to_string(ci), RowSense::LessEq,
-                   topo.cu(CuId(static_cast<std::uint32_t>(ci))).capacity,
-                   std::move(coefs));
-    }
-  }
-  // Transport rows: Σ η_e·Λ·x <= C_e.
-  std::map<std::uint32_t, std::vector<Coef>> link_rows;
-  for (std::size_t j = 0; j < vars.size(); ++j) {
-    for (LinkId e : vars[j].path->links) {
-      link_rows[e.value()].push_back(
-          {m.x_col[j], topo.graph.link(e).overhead * vars[j].sla});
-    }
-  }
-  for (auto& [id, coefs] : link_rows) {
-    m.lp.add_row("link" + std::to_string(id), RowSense::LessEq,
-                 topo.graph.link(LinkId(id)).capacity, std::move(coefs));
-  }
-  // Radio rows: Σ η_{τ,b}·Λ·x <= C_b.
-  for (std::size_t bi = 0; bi < inst.num_bs(); ++bi) {
-    std::vector<Coef> coefs;
-    for (std::size_t j = 0; j < vars.size(); ++j) {
-      if (vars[j].bs.index() == bi) {
-        coefs.push_back({m.x_col[j], vars[j].radio_prbs_per_mbps * vars[j].sla});
-      }
-    }
-    if (!coefs.empty()) {
-      m.lp.add_row("bs" + std::to_string(bi), RowSense::LessEq,
-                   topo.bs(BsId(static_cast<std::uint32_t>(bi))).capacity,
-                   std::move(coefs));
-    }
-  }
+  add_usage_rows(inst, m, &VarInfo::sla, "");
 
   LpSession session(std::move(m.lp), opts.lp);
   const MilpResult mr = solve_milp(session, opts);

@@ -12,6 +12,9 @@
 // upper-bound benchmark for traditional hard-guarantee admission.
 #pragma once
 
+#include <string>
+#include <vector>
+
 #include "acrr/instance.hpp"
 #include "acrr/slave.hpp"
 #include "solver/milp.hpp"
@@ -101,6 +104,24 @@ struct MasterModel {
 
 [[nodiscard]] MasterModel build_master(const AcrrInstance& inst,
                                        bool with_theta);
+
+/// First-stage cost coefficient Λ·w − R/B of variable x_j.
+[[nodiscard]] inline double first_stage_coef(const VarInfo& v) {
+  return v.sla * v.w - v.reward_share;
+}
+
+/// First-stage cost Σ_{j active} (Λ·w − R/B), summed in ascending j.
+[[nodiscard]] double first_stage_cost(const AcrrInstance& inst,
+                                      const std::vector<char>& x_active);
+
+/// Append the compute, transport and radio rows (14)-(16) priced at a
+/// per-variable reservation level L_j = v.*level:
+///   Σ (a/B + b·L_j)·x_j ≤ C_c,  Σ η_e·L_j·x_j ≤ C_e,  Σ ρ_j·L_j·x_j ≤ C_b,
+/// CUs by index, links by id, BSs by index; each row is named `prefix`
+/// plus the resource kind and id. A CU coefficient ≤ 0 is dropped, and a
+/// variable with L_j ≤ 0 stays out of the link and BS rows.
+void add_usage_rows(const AcrrInstance& inst, MasterModel& m,
+                    double VarInfo::*level, const std::string& prefix);
 
 /// Convert a master MILP solution into per-variable activation flags.
 [[nodiscard]] std::vector<char> extract_active(const MasterModel& m,

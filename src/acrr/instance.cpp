@@ -6,6 +6,21 @@
 
 namespace ovnes::acrr {
 
+RiskWeight risk_weight(const slice::SliceTemplate& tmpl, Mbps lambda_hat,
+                       double sigma_hat, double penalty_factor,
+                       std::size_t duration_epochs, std::size_t num_bs) {
+  const double sla = tmpl.sla_rate;
+  const double guard = kHeadroomGuard * sla;
+  RiskWeight r;
+  r.lambda_hat = std::clamp(lambda_hat, 0.0, sla - guard);
+  const double xi = std::clamp(sigma_hat, 0.0, 1.0) *
+                    static_cast<double>(duration_epochs);
+  const Money k_rate = penalty_factor * tmpl.reward / sla;
+  r.w = xi * (k_rate / static_cast<double>(num_bs)) /
+        std::max(sla - r.lambda_hat, guard);
+  return r;
+}
+
 AcrrInstance::AcrrInstance(const topo::Topology& topo,
                            const topo::PathCatalog& catalog,
                            std::vector<TenantModel> tenants, AcrrConfig config)
@@ -25,20 +40,10 @@ AcrrInstance::AcrrInstance(const topo::Topology& topo,
     if (tpl.sla_rate <= 0.0) {
       throw std::invalid_argument("AcrrInstance: tenant with Λ <= 0");
     }
-    // Effective forecast: clamp into the admissible reservation interval.
-    // λ̂ >= Λ means no headroom: pin z to Λ (risk 0 by construction).
-    const double guard = config_.headroom_guard * tpl.sla_rate;
-    const Mbps lam_eff =
-        std::clamp(tm.lambda_hat, 0.0, tpl.sla_rate - guard);
-    const double xi = std::clamp(tm.sigma_hat, 0.0, 1.0) *
-                      static_cast<double>(tm.request.duration_epochs);
-    const Money k_rate = tm.request.penalty_rate();
-    // w = ξ·K / (Λ − λ̂), normalized per path (K spread over B BSs).
-    const double denom = std::max(tpl.sla_rate - lam_eff, guard);
-    const double w =
-        config_.no_overbooking ? 0.0
-                               : xi * (k_rate / static_cast<double>(b_count)) /
-                                     denom;
+    const RiskWeight risk =
+        risk_weight(tpl, tm.lambda_hat, tm.sigma_hat, tm.request.penalty_factor,
+                    tm.request.duration_epochs, b_count);
+    const double w = config_.no_overbooking ? 0.0 : risk.w;
     const Money reward_share =
         tpl.reward / static_cast<double>(b_count);
 
@@ -60,7 +65,7 @@ AcrrInstance::AcrrInstance(const topo::Topology& topo,
           v.bs = b;
           v.cu = c;
           v.path = &p;
-          v.lambda_hat = lam_eff;
+          v.lambda_hat = risk.lambda_hat;
           v.sla = tpl.sla_rate;
           v.w = w;
           v.reward_share = reward_share;

@@ -37,10 +37,27 @@ struct TenantModel {
   std::optional<CuId> pinned_cu;
 };
 
+/// Relative headroom guard ε of the risk weight: λ̂ is clamped to at most
+/// (1 − ε)·Λ and the denominator Λ − λ̂ to at least ε·Λ (λ̂ ≥ Λ means no
+/// overbooking headroom).
+inline constexpr double kHeadroomGuard = 1e-3;
+
+/// Problem 2's linearized overbooking penalty for one path of a tenant.
+struct RiskWeight {
+  Mbps lambda_hat = 0.0;  ///< effective λ̂ = clamp(λ̂, 0, Λ − ε·Λ)
+  double w = 0.0;         ///< ξ·(K/B)/max(Λ − λ̂_eff, ε·Λ) with ξ = σ̂·L
+};
+
+/// The risk weight of a `tmpl` tenant with forecast λ̂, σ̂, penalty factor
+/// m (K = m·R/Λ) and risk horizon L epochs, its penalty spread over B base
+/// stations. AC-RR and the svc admission hot path both price with it.
+[[nodiscard]] RiskWeight risk_weight(const slice::SliceTemplate& tmpl,
+                                     Mbps lambda_hat, double sigma_hat,
+                                     double penalty_factor,
+                                     std::size_t duration_epochs,
+                                     std::size_t num_bs);
+
 struct AcrrConfig {
-  /// Relative headroom guard: when Λ − λ̂ < ε·Λ the risk denominator is
-  /// clamped (λ̂ ≥ Λ means no overbooking headroom; z is pinned to Λ).
-  double headroom_guard = 1e-3;
   /// Big-M cost per unit of resource deficit δr/δb/δc (§3.4). Only used
   /// when `allow_deficit`.
   double big_m = 1e5;
@@ -58,7 +75,7 @@ struct VarInfo {
   CuId cu;
   const topo::CandidatePath* path = nullptr;
   // Cached model coefficients:
-  Mbps lambda_hat = 0.0;   ///< effective λ̂ (clamped into [0, Λ·(1-guard)])
+  Mbps lambda_hat = 0.0;   ///< effective λ̂ (RiskWeight::lambda_hat)
   Mbps sla = 0.0;          ///< Λ
   double w = 0.0;          ///< ξK/(Λ−λ̂) >= 0, the y/z objective weight
   Money reward_share = 0.0;///< R/B

@@ -48,9 +48,8 @@ AdmissionResult solve_kac(const AcrrInstance& inst, const KacOptions& opts) {
         it.bundle.push_back(group.front());  // min-delay path (sorted by Yen)
       }
       if (!ok) continue;
-      for (int j : it.bundle) {
-        const VarInfo& v = vars[static_cast<size_t>(j)];
-        it.gamma += v.w * v.sla - v.reward_share;  // eq. (26)
+      for (int j : it.bundle) {  // eq. (26)
+        it.gamma += detail::first_stage_coef(vars[static_cast<size_t>(j)]);
       }
       items.push_back(std::move(it));
     }
@@ -175,22 +174,16 @@ AdmissionResult solve_kac(const AcrrInstance& inst, const KacOptions& opts) {
     sr = slave.solve(activate(selected), /*allow_deficit=*/true);
   }
 
-  AdmissionResult res =
-      detail::assemble_result(inst, activate(selected), sr.z);
+  const std::vector<char> active = activate(selected);
+  AdmissionResult res = detail::assemble_result(inst, active, sr.z);
   res.iterations = iter + 1;
   res.solve_ms = std::chrono::duration<double>(
                      std::chrono::steady_clock::now() - t0).count() * 1e3;
   res.optimal = false;
   res.deficit = sr.deficit;
   // Ψ value achieved.
-  double first_stage = 0.0;
-  const std::vector<char> active = activate(selected);
-  for (std::size_t j = 0; j < active.size(); ++j) {
-    if (active[j]) {
-      first_stage += vars[j].sla * vars[j].w - vars[j].reward_share;
-    }
-  }
-  res.objective = first_stage + (sr.feasible ? sr.objective : 0.0);
+  res.objective = detail::first_stage_cost(inst, active) +
+                  (sr.feasible ? sr.objective : 0.0);
   res.bound = -std::numeric_limits<double>::infinity();
   return res;
 }

@@ -30,6 +30,13 @@ double cores_per_mbps(const AcrrInstance& inst, const VarInfo& v) {
       .request.tmpl.service.cores_per_mbps;
 }
 
+/// Floor of an active path's reservation box z ∈ [floor, Λ]: the forecast
+/// λ̂ of (9), or Λ itself for the no-overbooking baseline. The svc hot path
+/// floors z at 0 instead (docs/service.md).
+double reservation_floor(const AcrrInstance& inst, const VarInfo& v) {
+  return inst.config().no_overbooking ? v.sla : std::min(v.lambda_hat, v.sla);
+}
+
 }  // namespace
 
 SlaveResult SlaveProblem::solve(const std::vector<char>& x_active,
@@ -38,20 +45,22 @@ SlaveResult SlaveProblem::solve(const std::vector<char>& x_active,
   const AcrrInstance& inst = *inst_;
   const auto& vars = inst.vars();
   const topo::Topology& topo = inst.topology();
-  const bool full_reservation = inst.config().no_overbooking;
 
   // ---- Session cache: when the master proposes the same activation
   // vector as the cached session, skip the model build outright and
   // re-solve the live session (its incumbent basis re-verifies in zero
-  // pivots). Otherwise (re)build the slave LP and its row/variable maps.
+  // pivots). Otherwise, and on every call without `reuse_basis`, (re)build
+  // the slave LP and its row/variable maps.
   const bool cache_hit = reuse_basis && session_.has_value() &&
                          warm_deficit_ == allow_deficit &&
                          warm_active_ == x_active;
-  std::optional<LpSession> scratch;  // reuse_basis == false path
-  std::map<int, int> z_local;
-  std::vector<RowRef> refs_local;
-  std::vector<int> deficit_local;
   if (!cache_hit) {
+    // The maps are rebuilt in place: drop the session first, so a build
+    // that throws cannot leave a cache hit on half-built maps.
+    session_.reset();
+    z_of_.clear();
+    row_refs_.clear();
+    deficit_cols_.clear();
     // ---- Collect active variables and the resource rows they touch.
     std::vector<int> active;
     for (std::size_t j = 0; j < vars.size(); ++j) {
@@ -63,9 +72,9 @@ SlaveResult SlaveProblem::solve(const std::vector<char>& x_active,
     // no-overbooking baseline).
     for (int j : active) {
       const VarInfo& v = vars[static_cast<size_t>(j)];
-      const double lo = full_reservation ? v.sla : std::min(v.lambda_hat, v.sla);
-      lp.add_variable("z" + std::to_string(j), lo, v.sla, -v.w);
-      z_local[j] = lp.num_vars() - 1;
+      lp.add_variable("z" + std::to_string(j), reservation_floor(inst, v),
+                      v.sla, -v.w);
+      z_of_[j] = lp.num_vars() - 1;
     }
 
     // Aggregate deficit variables (§3.4): δc (compute), δb (transport),
@@ -76,7 +85,7 @@ SlaveResult SlaveProblem::solve(const std::vector<char>& x_active,
       d_compute = lp.add_variable("delta_c", 0.0, kInf, m);
       d_transport = lp.add_variable("delta_b", 0.0, kInf, m);
       d_radio = lp.add_variable("delta_r", 0.0, kInf, m);
-      deficit_local = {d_compute, d_transport, d_radio};
+      deficit_cols_ = {d_compute, d_transport, d_radio};
     }
 
     // ---- Compute rows (14): Σ (a/B)·x + b·z <= C_c + δc. The a-terms of
@@ -90,13 +99,13 @@ SlaveResult SlaveProblem::solve(const std::vector<char>& x_active,
         if (!(v.cu == c)) continue;
         fixed += baseline_share(inst, v);
         const double b = cores_per_mbps(inst, v);
-        if (b > 0.0) coefs.push_back({z_local[j], b});
+        if (b > 0.0) coefs.push_back({z_of_[j], b});
       }
       if (coefs.empty() && fixed == 0.0) continue;
       if (d_compute >= 0) coefs.push_back({d_compute, -1.0});
       lp.add_row("cu" + std::to_string(ci), RowSense::LessEq,
                  topo.cu(c).capacity - fixed, std::move(coefs));
-      refs_local.push_back({RowKind::Compute, c.value()});
+      row_refs_.push_back({RowKind::Compute, c.value()});
     }
 
     // ---- Transport rows (15): Σ η_e·z <= C_e + δb, per touched link.
@@ -105,7 +114,7 @@ SlaveResult SlaveProblem::solve(const std::vector<char>& x_active,
       const VarInfo& v = vars[static_cast<size_t>(j)];
       for (LinkId e : v.path->links) {
         link_rows[e.value()].push_back(
-            {z_local[j], topo.graph.link(e).overhead});
+            {z_of_[j], topo.graph.link(e).overhead});
       }
     }
     for (auto& [link_id, coefs] : link_rows) {
@@ -113,7 +122,7 @@ SlaveResult SlaveProblem::solve(const std::vector<char>& x_active,
       if (d_transport >= 0) coefs.push_back({d_transport, -1.0});
       lp.add_row("link" + std::to_string(link_id), RowSense::LessEq, cap,
                  std::move(coefs));
-      refs_local.push_back({RowKind::Transport, link_id});
+      row_refs_.push_back({RowKind::Transport, link_id});
     }
 
     // ---- Radio rows (16): Σ η_{τ,b}·z <= C_b + δr, per touched BS.
@@ -122,35 +131,21 @@ SlaveResult SlaveProblem::solve(const std::vector<char>& x_active,
       std::vector<Coef> coefs;
       for (int j : active) {
         const VarInfo& v = vars[static_cast<size_t>(j)];
-        if (v.bs == b) coefs.push_back({z_local[j], v.radio_prbs_per_mbps});
+        if (v.bs == b) coefs.push_back({z_of_[j], v.radio_prbs_per_mbps});
       }
       if (coefs.empty()) continue;
       if (d_radio >= 0) coefs.push_back({d_radio, -1.0});
       lp.add_row("bs" + std::to_string(bi), RowSense::LessEq,
                  topo.bs(b).capacity, std::move(coefs));
-      refs_local.push_back({RowKind::Radio, b.value()});
+      row_refs_.push_back({RowKind::Radio, b.value()});
     }
 
-    if (reuse_basis) {
-      session_.emplace(std::move(lp));
-      z_of_ = std::move(z_local);
-      row_refs_ = std::move(refs_local);
-      deficit_cols_ = std::move(deficit_local);
-      warm_active_ = x_active;
-      warm_deficit_ = allow_deficit;
-    } else {
-      scratch.emplace(std::move(lp));
-    }
+    session_.emplace(std::move(lp));
+    warm_active_ = x_active;
+    warm_deficit_ = allow_deficit;
   }
 
-  LpSession& sess = scratch.has_value() ? *scratch : *session_;
-  const std::map<int, int>& z_of = scratch.has_value() ? z_local : z_of_;
-  const std::vector<RowRef>& row_refs =
-      scratch.has_value() ? refs_local : row_refs_;
-  const std::vector<int>& deficit_cols =
-      scratch.has_value() ? deficit_local : deficit_cols_;
-
-  const LpResult& lr = sess.solve();
+  const LpResult& lr = session_->solve();
   SlaveResult out;
   out.z.assign(vars.size(), 0.0);
 
@@ -170,16 +165,16 @@ SlaveResult SlaveProblem::solve(const std::vector<char>& x_active,
   const std::vector<double>& dual_src =
       feasible ? lr.row_duals : lr.farkas_ray;
   std::map<std::uint32_t, double> mu_cu, mu_link, mu_bs;
-  for (std::size_t r = 0; r < row_refs.size(); ++r) {
+  for (std::size_t r = 0; r < row_refs_.size(); ++r) {
     // Min problem, <= rows: optimal duals are <= 0 and µ = -y; the Farkas
     // ray is already returned with the µ >= 0 orientation.
     const double raw = dual_src[r];
     const double mu = feasible ? std::max(0.0, -raw) : std::max(0.0, raw);
     if (mu <= 0.0) continue;
-    switch (row_refs[r].kind) {
-      case RowKind::Compute: mu_cu[row_refs[r].id] += mu; break;
-      case RowKind::Transport: mu_link[row_refs[r].id] += mu; break;
-      case RowKind::Radio: mu_bs[row_refs[r].id] += mu; break;
+    switch (row_refs_[r].kind) {
+      case RowKind::Compute: mu_cu[row_refs_[r].id] += mu; break;
+      case RowKind::Transport: mu_link[row_refs_[r].id] += mu; break;
+      case RowKind::Radio: mu_bs[row_refs_[r].id] += mu; break;
     }
   }
 
@@ -215,7 +210,7 @@ SlaveResult SlaveProblem::solve(const std::vector<char>& x_active,
       r += mu_at(mu_link, e.value()) * topo.graph.link(e).overhead;
     }
     const double slope = feasible ? r - v.w : r;
-    const double z_lo = full_reservation ? v.sla : std::min(v.lambda_hat, v.sla);
+    const double z_lo = reservation_floor(inst, v);
     const double inner = std::min(slope * z_lo, slope * v.sla);
     const double coef =
         mu_at(mu_cu, v.cu.value()) * baseline_share(inst, v) + inner;
@@ -230,12 +225,12 @@ SlaveResult SlaveProblem::solve(const std::vector<char>& x_active,
 
   out.feasible = true;
   out.objective = lr.objective;
-  for (const auto& [j, zv] : z_of) {
+  for (const auto& [j, zv] : z_of_) {
     out.z[static_cast<size_t>(j)] = lr.x[static_cast<size_t>(zv)];
   }
   if (allow_deficit) {
     out.deficit = 0.0;
-    for (int d : deficit_cols) out.deficit += lr.x[static_cast<size_t>(d)];
+    for (int d : deficit_cols_) out.deficit += lr.x[static_cast<size_t>(d)];
   }
   return out;
 }

@@ -53,7 +53,8 @@ class SlaveProblem {
   /// LpSession built for the previous activation vector is kept alive and
   /// re-solved directly whenever the master proposes the same x̄ again —
   /// the model is not even rebuilt and the incumbent basis re-verifies in
-  /// zero pivots.
+  /// zero pivots. Without it every call rebuilds the session (the cold
+  /// reference).
   [[nodiscard]] SlaveResult solve(const std::vector<char>& x_active,
                                   bool allow_deficit,
                                   bool reuse_basis = true) const;
@@ -68,11 +69,11 @@ class SlaveProblem {
   };
 
   const AcrrInstance* inst_;
-  // Session cache for repeated activation vectors, along with the row/
-  // variable maps needed to read its solution back. Mutable: the slave
-  // stays logically const per call; note this makes concurrent solve()
-  // calls on ONE SlaveProblem racy — use distinct instances per thread
-  // (solve_benders already does).
+  // The session of the last solve, cached for repeated activation vectors,
+  // along with the row/variable maps needed to read its solution back.
+  // Mutable: the slave stays logically const per call; note this makes
+  // concurrent solve() calls on ONE SlaveProblem racy — use distinct
+  // instances per thread (solve_benders already does).
   mutable std::optional<solver::LpSession> session_;
   mutable std::map<int, int> z_of_;        ///< instance var -> lp var
   mutable std::vector<RowRef> row_refs_;   ///< per LP row

@@ -4,9 +4,8 @@
 // flash-crowd windows, optional heavy-tailed forecast rates, forecast-error
 // bias on the observed peaks).
 //
-// Generalizes the day generator that lived inside bench_service_day: the
-// bench, the svc regression cases of bench_regression, and scn_test all
-// build their scripts here. A script is a pure function of its config
+// The svc regression cases of bench_regression, bench_e2e and scn_test
+// all build their scripts here. A script is a pure function of its config
 // (keyed RngStream children per arrival / update), so the same config
 // yields a byte-identical event stream — script_digest pins that, and the
 // service's own determinism contract turns it into a byte-identical

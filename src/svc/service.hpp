@@ -16,7 +16,8 @@
 //      position in the segment, so the log order is a pure function of
 //      the accepted event log — byte-identical for every OVNES_THREADS
 //      value and every producer interleaving (the determinism contract;
-//      replay-tested by svc_test, digest-checked by bench_service_day).
+//      replay-tested by svc_test, digest-checked at 1 and 4 threads by
+//      the bench_regression svc cases).
 //
 // Epoch ticks fan end_epoch() out across shards (expiries, drift-triggered
 // Benders re-solves against each shard's cross-epoch cut pool) and append

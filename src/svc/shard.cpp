@@ -154,21 +154,6 @@ double Shard::radio_residual_mbps(std::size_t b) const {
   return std::max(0.0, prbs) * bs.mbps_per_prb;
 }
 
-double Shard::risk_weight(const TypeInfo& ti, double lambda_hat,
-                          double sigma_hat, double penalty_factor,
-                          std::uint32_t duration) const {
-  // Mirrors acrr::AcrrInstance: w = ξ·(K/B)/(Λ − λ̂_eff), ξ = σ̂·L,
-  // K = m·R/Λ, with the headroom guard clamping the denominator.
-  const double sla = ti.tmpl.sla_rate;
-  const double guard = cfg_.headroom_guard * sla;
-  const double lam_eff = std::clamp(lambda_hat, 0.0, sla - guard);
-  const double xi = std::clamp(sigma_hat, 0.0, 1.0) *
-                    static_cast<double>(std::max<std::uint32_t>(1, duration));
-  const double k_rate = penalty_factor * ti.tmpl.reward / sla;
-  return xi * (k_rate / static_cast<double>(num_bs_)) /
-         std::max(sla - lam_eff, guard);
-}
-
 void Shard::stage_candidate(const TypeInfo& ti, std::uint32_t cu, double w) {
   const double sla = ti.tmpl.sla_rate;
   // Radio: z_b bounded by the BS's unreserved capacity (and the SLA — a
@@ -288,8 +273,11 @@ Decision Shard::admit(const Event& e) {
   }
 
   const double lambda_hat = std::max(0.0, e.lambda_hat);
-  const double w = risk_weight(ti, lambda_hat, e.sigma_hat, e.penalty_factor,
-                               e.duration_epochs);
+  // An open-ended tenant (L = 0) prices a one-epoch risk horizon.
+  const double w =
+      acrr::risk_weight(ti.tmpl, lambda_hat, e.sigma_hat, e.penalty_factor,
+                        std::max<std::uint32_t>(1, e.duration_epochs), num_bs_)
+          .w;
   arena_.reset();
   session_.push();
   stage_candidate(ti, cu, w);
@@ -337,7 +325,7 @@ Decision Shard::admit(const Event& e) {
   t.remaining = e.duration_epochs;
   std::memcpy(zrow(slot), z, num_bs_ * sizeof(double));
   tenants_.insert(e.tenant_id, slot);
-  commit_tenant(slot, zrow(slot));
+  book(slot, zrow(slot), 1.0);
   lambda_admitted_sum_ += t.lambda_admitted;
 
   ++stats_.admitted;
@@ -409,43 +397,31 @@ Decision Shard::update(const Event& e) {
   return d;
 }
 
-void Shard::commit_tenant(std::uint32_t slot, const double* z) {
+void Shard::book(std::uint32_t slot, const double* z, double sign) {
+  // Each finished term is signed, so a release subtracts exactly what the
+  // commit added.
   const TenantEntry& t = entries_[slot];
   const TypeInfo& ti = types_[static_cast<std::size_t>(t.type)];
   double sum_z = 0.0;
   for (std::size_t b = 0; b < num_bs_; ++b) {
     const auto& bs = topo_.bs(BsId(static_cast<std::uint32_t>(b)));
-    committed_radio_prbs_[b] += z[b] / bs.mbps_per_prb;
+    committed_radio_prbs_[b] += sign * (z[b] / bs.mbps_per_prb);
     sum_z += z[b];
     const topo::CandidatePath* p = ti.path[t.cu * num_bs_ + b];
     if (p == nullptr) continue;
     for (LinkId e : p->links) {
       committed_link_mbps_[e.index()] +=
-          topo_.graph.link(e).overhead * z[b];
+          sign * (topo_.graph.link(e).overhead * z[b]);
     }
   }
+  const auto& service = ti.tmpl.service;
   committed_cpu_cores_[t.cu] +=
-      ti.tmpl.service.baseline + ti.tmpl.service.cores_per_mbps * sum_z;
+      sign * (service.baseline + service.cores_per_mbps * sum_z);
 }
 
 void Shard::release_tenant(std::uint32_t slot) {
+  book(slot, zrow(slot), -1.0);
   const TenantEntry& t = entries_[slot];
-  const TypeInfo& ti = types_[static_cast<std::size_t>(t.type)];
-  const double* z = zrow(slot);
-  double sum_z = 0.0;
-  for (std::size_t b = 0; b < num_bs_; ++b) {
-    const auto& bs = topo_.bs(BsId(static_cast<std::uint32_t>(b)));
-    committed_radio_prbs_[b] -= z[b] / bs.mbps_per_prb;
-    sum_z += z[b];
-    const topo::CandidatePath* p = ti.path[t.cu * num_bs_ + b];
-    if (p == nullptr) continue;
-    for (LinkId e : p->links) {
-      committed_link_mbps_[e.index()] -=
-          topo_.graph.link(e).overhead * z[b];
-    }
-  }
-  committed_cpu_cores_[t.cu] -=
-      ti.tmpl.service.baseline + ti.tmpl.service.cores_per_mbps * sum_z;
   drift_abs_ -= std::abs(t.lambda_hat - t.lambda_admitted);
   lambda_admitted_sum_ -= t.lambda_admitted;
   tenants_.erase(t.id);
@@ -457,7 +433,7 @@ void Shard::recompute_committed() {
   std::fill(committed_cpu_cores_.begin(), committed_cpu_cores_.end(), 0.0);
   std::fill(committed_link_mbps_.begin(), committed_link_mbps_.end(), 0.0);
   for (std::uint32_t slot = 0; slot < slab_.capacity(); ++slot) {
-    if (slab_.occupied(slot)) commit_tenant(slot, zrow(slot));
+    if (slab_.occupied(slot)) book(slot, zrow(slot), 1.0);
   }
 }
 
@@ -528,7 +504,6 @@ void Shard::benders_resolve() {
 
   acrr::AcrrConfig ac;
   ac.allow_deficit = true;  // pins require the §3.4 relaxation
-  ac.headroom_guard = cfg_.headroom_guard;
   const acrr::AcrrInstance inst(topo_, catalog_, std::move(tenants), ac);
   const std::uint64_t fp = acrr::instance_fingerprint(inst);
   if (fp != pool_fingerprint_) {
@@ -540,20 +515,19 @@ void Shard::benders_resolve() {
   acrr::BendersOptions bo;
   bo.single_tree = true;
   bo.cut_pool = &pool_;
-  // Deterministic replay: one B&B lane and a NODE budget, not a wall-clock
-  // one (ShardConfig::resolve_max_nodes). A zero time limit means "none".
+  // Deterministic replay: one B&B lane and a NODE budget
+  // (ShardConfig::resolve_max_nodes), no wall-clock limit — a time limit
+  // would make the decision log timing-dependent.
   bo.master.threads = 1;
   bo.master.max_nodes = cfg_.resolve_max_nodes;
-  bo.time_limit_sec = cfg_.resolve_time_limit_sec > 0.0
-                          ? cfg_.resolve_time_limit_sec
-                          : 1e9;
+  bo.time_limit_sec = 1e9;
   bo.master.time_limit_sec = bo.time_limit_sec;
   // Node-budgeted anytime solve: pseudocost branching spends the budget on
   // learned-cost variables and RENS recovers an incumbent where the plain
-  // rounding dive dead-ends. Both stay replay-deterministic under the
-  // serial master above.
-  bo.master.branching = cfg_.resolve_branching;
-  bo.master.rens_heuristic = cfg_.resolve_rens;
+  // rounding dive dead-ends, so a truncated re-solve still carries one.
+  // Both stay replay-deterministic under the serial master above.
+  bo.master.branching = solver::BranchRule::Pseudocost;
+  bo.master.rens_heuristic = true;
   const acrr::AdmissionResult res = acrr::solve_benders(inst, bo);
   stats_.merge(res);
 
@@ -589,8 +563,10 @@ void Shard::greedy_repack() {
     if (!slab_.occupied(slot)) continue;
     TenantEntry& t = entries_[slot];
     const TypeInfo& ti = types_[static_cast<std::size_t>(t.type)];
-    const double w = risk_weight(ti, t.lambda_hat, t.sigma_hat,
-                                 t.penalty_factor, t.duration);
+    const double w =
+        acrr::risk_weight(ti.tmpl, t.lambda_hat, t.sigma_hat, t.penalty_factor,
+                          std::max<std::uint32_t>(1, t.duration), num_bs_)
+            .w;
     arena_.reset();
     session_.push();
     stage_candidate(ti, t.cu, w);
@@ -602,7 +578,7 @@ void Shard::greedy_repack() {
       }
     }
     session_.pop();
-    commit_tenant(slot, z);
+    book(slot, z, 1.0);
     t.lambda_admitted = t.lambda_hat;
     lambda_admitted_sum_ += t.lambda_admitted;
   }

@@ -12,17 +12,20 @@
 // Hot path (admit): the shard keeps ONE LpSession over a tiny base model
 // with a reservation variable z_b per base station, all pinned to [0, 0].
 // An arrival opens a push() frame, raises the z bounds to the candidate's
-// residual radio capacity, sets the objective to the tenant's risk weight
-// −w (Problem 2's linearized overbooking penalty), appends the CPU and
-// transport-link coupling rows as frame cuts against residual capacities,
-// and re-solves — dual simplex from the incumbent basis, a handful of
-// pivots. The request is admitted iff the risk-adjusted net value
+// residual radio capacity, sets the objective to −w with w the tenant's
+// acrr::risk_weight (Problem 2's linearized overbooking penalty, the one
+// AC-RR prices with), appends the CPU and transport-link coupling rows as
+// frame cuts against residual capacities, and re-solves — dual simplex
+// from the incumbent basis, a handful of pivots. The request is admitted
+// iff the risk-adjusted net value
 //     value = R − w·Σ_b (Λ − z*_b)
 // clears the configured margin; pop() then rewinds the model either way and
-// an admit commits the reservation into plain per-resource scalars. Scratch
-// lives in the shard's Arena, tenant records in a Slab — steady-state
-// admission allocates nothing on the svc side (docs/service.md "memory
-// model").
+// an admit commits the reservation into plain per-resource scalars. The
+// one model difference from the AC-RR slave is the reservation floor: z_b
+// may fall to 0 here, while the slave keeps z ≥ λ̂ (docs/service.md).
+// Scratch lives in the shard's Arena, tenant records in a Slab —
+// steady-state admission allocates nothing on the svc side
+// (docs/service.md "memory model").
 //
 // Slow path (end_epoch): demand updates accumulate forecast drift; past
 // ShardConfig::drift_threshold (or every full_resolve_every epochs) the
@@ -38,7 +41,6 @@
 #include <vector>
 
 #include "acrr/instance.hpp"
-#include "solver/branching.hpp"
 #include "solver/cut_pool.hpp"
 #include "solver/lp_session.hpp"
 #include "svc/arena.hpp"
@@ -65,27 +67,12 @@ struct ShardConfig {
   /// a wall-clock one: termination must not depend on timing or the replay
   /// guarantee across OVNES_THREADS breaks.
   long resolve_max_nodes = 4000;
-  /// Optional wall-clock belt for the re-solve; 0 disables it (default —
-  /// a time limit makes the decision log timing-dependent).
-  double resolve_time_limit_sec = 0.0;
-  /// Branching rule for the re-solve's Benders master. Pseudocost (the
-  /// default) is node-budget-friendly: under resolve_max_nodes the tree
-  /// that learns branching costs proves tighter bounds. The decision log
-  /// stays replay-deterministic — the re-solve master runs threads=1 and
-  /// probe observations are applied in candidate order.
-  solver::BranchRule resolve_branching = solver::BranchRule::Pseudocost;
-  /// Run the RENS fix-and-dive heuristic at the re-solve root (plus the
-  /// plain rounding dive): lowers time-to-first-feasible, so a re-solve
-  /// truncated by resolve_max_nodes still carries an incumbent.
-  bool resolve_rens = true;
   /// Hard cap on live tenants per shard; arrivals beyond it are shed with
   /// DecisionKind::RejectedFull. 0 = unbounded.
   std::size_t max_tenants = 0;
   /// Wall-clock minutes one DemandUpdate sample covers (SLA-violation
   /// minutes accrue in these units).
   double update_interval_min = 1.0;
-  /// Risk-denominator guard, mirrors acrr::AcrrConfig::headroom_guard.
-  double headroom_guard = 1e-3;
 };
 
 enum class DecisionKind : std::uint8_t {
@@ -218,12 +205,11 @@ class Shard {
   /// Raise z bounds/costs and append the CPU + link coupling rows as frame
   /// cuts for a `ti`-shaped tenant placed on `cu`; caller opened the frame.
   void stage_candidate(const TypeInfo& ti, std::uint32_t cu, double w);
-  [[nodiscard]] double risk_weight(const TypeInfo& ti, double lambda_hat,
-                                   double sigma_hat, double penalty_factor,
-                                   std::uint32_t duration) const;
   /// Residual radio capacity of BS b in Mbps.
   [[nodiscard]] double radio_residual_mbps(std::size_t b) const;
-  void commit_tenant(std::uint32_t slot, const double* z);
+  /// Add (sign = +1) or remove (sign = −1) the radio, link and CPU load of
+  /// the tenant in `slot` holding reservation `z` to the committed ledger.
+  void book(std::uint32_t slot, const double* z, double sign);
   void release_tenant(std::uint32_t slot);
   void recompute_committed();
   void benders_resolve();
