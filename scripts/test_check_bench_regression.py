@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Unit tests for the timing-field classification of check_bench_regression.py.
+"""Unit tests for the timing-field classification of check_bench_regression.py
+and for the report shape docs/benchmarks.md documents.
 
 Run from the repository root:
 
@@ -7,6 +8,7 @@ Run from the repository root:
 """
 
 import importlib.util
+import json
 import os
 import unittest
 
@@ -60,6 +62,25 @@ class TimingClassification(unittest.TestCase):
 
     def test_percentile_is_informational(self):
         self.assertFalse(checker.gated_timing_field("p99_us", 500.0))
+
+
+class ReportSchema(unittest.TestCase):
+    def test_committed_baseline_matches_documented_shape(self):
+        # docs/benchmarks.md "Report schema": cases is a list of objects
+        # {name, tier, fingerprint, correctness, timing}, with no config key.
+        with open(os.path.join(_HERE, os.pardir, "BENCH_10.json")) as f:
+            report = json.load(f)
+        self.assertEqual(set(report),
+                         {"schema_version", "mode", "catalog_fingerprint",
+                          "cases"})
+        self.assertIsInstance(report["cases"], list)
+        self.assertTrue(report["cases"])
+        for c in report["cases"]:
+            self.assertEqual(set(c), {"name", "tier", "fingerprint",
+                                      "correctness", "timing"}, c.get("name"))
+            self.assertIn(c["tier"], ("smoke", "full"))
+            self.assertIsInstance(c["correctness"], dict)
+            self.assertIsInstance(c["timing"], dict)
 
 
 if __name__ == "__main__":

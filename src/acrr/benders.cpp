@@ -8,7 +8,6 @@
 #include <string>
 
 #include "exec/thread_pool.hpp"
-#include "solver/cut_pool.hpp"
 
 namespace ovnes::acrr {
 
@@ -192,6 +191,19 @@ std::vector<char> extract_active(const MasterModel& m,
   return active;
 }
 
+solver::Rowdef cut_row(const MasterModel& m, const BendersCut& cut,
+                       std::string name) {
+  solver::Rowdef row;
+  row.name = std::move(name);
+  row.sense = solver::RowSense::LessEq;
+  row.rhs = -cut.constant;
+  if (cut.optimality) row.coefs.push_back({m.theta_col, -1.0});
+  for (const auto& [j, c] : cut.coefs) {
+    row.coefs.push_back({m.x_col[static_cast<size_t>(j)], c});
+  }
+  return row;
+}
+
 AdmissionResult assemble_result(const AcrrInstance& inst,
                                 const std::vector<char>& active,
                                 const std::vector<double>& z) {
@@ -242,11 +254,65 @@ double evaluate_objective(const AcrrInstance& inst,
 
 namespace {
 
+/// What both Benders modes track and report: the incumbent (the upper
+/// bound side of Algorithm 1), the master's lower bound and the counters.
+struct BendersState {
+  double ub = solver::kInf;
+  double lb = -solver::kInf;
+  std::vector<char> best_active;
+  std::vector<double> best_z;
+  double best_deficit = 0.0;
+  solver::SolveStats stats;
+  long master_pivots = 0;
+
+  /// Offer the admission `active` priced by a feasible slave: Γ = first-
+  /// stage cost + slave optimum (Algorithm 1, line 12) becomes the
+  /// incumbent when it beats the upper bound.
+  void offer(const AcrrInstance& inst, const std::vector<char>& active,
+             const SlaveResult& sr) {
+    const double gamma = detail::first_stage_cost(inst, active) + sr.objective;
+    if (gamma < ub) {
+      ub = gamma;
+      best_active = active;
+      best_z = sr.z;
+      best_deficit = sr.deficit;
+    }
+  }
+
+  /// Algorithm 1's stop test: an incumbent within ε·(1 + |UB|) of the LB.
+  [[nodiscard]] bool converged(double epsilon) const {
+    return ub < solver::kInf && ub - lb <= epsilon * (1.0 + std::abs(ub));
+  }
+
+  /// The solve's answer: the incumbent's admission (or nobody when no
+  /// slave was feasible — always feasible when nothing is pinned), the
+  /// UB/LB sandwich and the counters.
+  [[nodiscard]] AdmissionResult result(const AcrrInstance& inst,
+                                       int iterations, double solve_ms,
+                                       double epsilon) const {
+    AdmissionResult res;
+    if (best_active.empty()) {
+      res.admitted.assign(inst.tenants().size(), std::nullopt);
+    } else {
+      res = detail::assemble_result(inst, best_active, best_z);
+    }
+    res.objective = ub == solver::kInf ? 0.0 : ub;
+    res.bound = lb;
+    res.iterations = iterations;
+    res.solve_ms = solve_ms;
+    res.optimal = converged(epsilon);
+    res.deficit = best_deficit;
+    static_cast<solver::SolveStats&>(res) = stats;
+    res.master_pivots = master_pivots;
+    return res;
+  }
+};
+
 /// Single-tree Branch-and-Benders-cut: the master is built once and solved
 /// by ONE branch-and-bound run in which every integer-feasible candidate
 /// (and fractional root points) is verified by the slave through the
-/// MilpOptions::lazy_cuts hook. Rejection cuts land in the shared CutPool
-/// and reach every lane; a pooled cut that already rejects a later
+/// MilpOptions::lazy_cuts hook. Rejection cuts land in the solve's cut
+/// pool and reach every lane; a pooled cut that already rejects a later
 /// candidate skips its slave solve entirely. Persistent-LU/dual-simplex
 /// state survives for the whole solve instead of dying at each outer
 /// iteration boundary.
@@ -268,33 +334,14 @@ AdmissionResult solve_benders_single_tree(const AcrrInstance& inst,
   const bool deficit = inst.config().allow_deficit;
   const auto& vars = inst.vars();
 
-  CutPool owned_pool;
-  CutPool* pool = opts.cut_pool != nullptr ? opts.cut_pool : &owned_pool;
-
   // Callback state: mutated only under the solver's separation lock (the
   // LazyCutCallback serialization contract), read again after solve_milp
   // returns with every lane quiesced.
-  double ub = kInf;
-  std::vector<char> best_active;
-  std::vector<double> best_z;
-  double best_deficit = 0.0;
+  BendersState st;
   std::vector<char> core(vars.size(), 0);  ///< union of feasible candidates
   bool core_seen = false;
   long slave_calls = 0;
-  long mw_cuts = 0;
 
-  // BendersCut -> master row:  constant + Σ coef·x (− θ) <= 0.
-  const auto to_row = [&master](const BendersCut& cut, std::string name) {
-    Rowdef row;
-    row.name = std::move(name);
-    row.sense = RowSense::LessEq;
-    row.rhs = -cut.constant;
-    if (cut.optimality) row.coefs.push_back({master.theta_col, -1.0});
-    for (const auto& [j, c] : cut.coefs) {
-      row.coefs.push_back({master.x_col[static_cast<size_t>(j)], c});
-    }
-    return row;
-  };
   const auto violation = [&master](const BendersCut& cut,
                                    const std::vector<double>& mx) {
     double lhs = cut.constant;
@@ -309,7 +356,6 @@ AdmissionResult solve_benders_single_tree(const AcrrInstance& inst,
   // One tree gets the whole Benders budget (the classic loop splits it
   // into per-iteration master solves).
   mopts.time_limit_sec = opts.time_limit_sec;
-  mopts.cut_pool = pool;
   // Root fractional separation is intrinsic to the mode (SCIP's benderslp):
   // master.max_lp_cut_rounds still tunes how many rounds.
   mopts.benders_lp_cuts = true;
@@ -318,28 +364,21 @@ AdmissionResult solve_benders_single_tree(const AcrrInstance& inst,
     const std::vector<char> active = detail::extract_active(master, ctx.x);
     const SlaveResult sr = slave.solve(active, deficit, opts.warm_start);
     ++slave_calls;
-    if (!sr.feasible && sr.cut.coefs.empty() && sr.cut.constant <= 0.0) {
-      // Slave failed without a certificate (iteration limit): no valid cut
-      // exists to reject the candidate, and accepting it unverified could
-      // prune the true optimum — abandon the node conservatively (the
-      // solver folds its bound into best_bound and drops Optimal claims).
+    if (sr.uncertified()) {
+      // No valid cut exists to reject the candidate, and accepting it
+      // unverified could prune the true optimum — abandon the node
+      // conservatively (the solver folds its bound into best_bound and
+      // drops Optimal claims).
       out.abandon = true;
       return out;
     }
     if (sr.feasible) {
       // A feasible slave at an integral candidate prices a complete
       // admission: a valid upper bound whether or not the candidate
-      // survives (Algorithm 1 line 12). A fractional root point rounds to
-      // an activation that need not satisfy the master rows, so its price
-      // is no admission's value and must not become the incumbent.
-      const double gamma =
-          detail::first_stage_cost(inst, active) + sr.objective;
-      if (ctx.integral && gamma < ub) {
-        ub = gamma;
-        best_active = active;
-        best_z = sr.z;
-        best_deficit = sr.deficit;
-      }
+      // survives. A fractional root point rounds to an activation that
+      // need not satisfy the master rows, so its price is no admission's
+      // value and must not become the incumbent.
+      if (ctx.integral) st.offer(inst, active, sr);
       for (std::size_t j = 0; j < core.size(); ++j) {
         core[j] = static_cast<char>(core[j] | active[j]);
       }
@@ -349,45 +388,32 @@ AdmissionResult solve_benders_single_tree(const AcrrInstance& inst,
     // candidate's θ̄ must cover the slave optimum to within ε·(1+|obj|).
     const double tol = opts.epsilon * (1.0 + std::abs(ctx.objective));
     if (violation(sr.cut, ctx.x) <= tol) return out;  // survives
-    out.cuts.push_back(to_row(
-        sr.cut, (sr.cut.optimality ? "optcut" : "feascut") +
-                    std::to_string(slave_calls)));
+    out.cuts.push_back(detail::cut_row(
+        master, sr.cut,
+        (sr.cut.optimality ? "optcut" : "feascut") +
+            std::to_string(slave_calls)));
     // Magnanti–Wong strengthening: also price the core (union) activation.
     // Cuts are valid at ANY activation (acrr/slave.hpp), and the denser
     // core prices resources this candidate leaves idle. Its cut rarely
-    // cuts the candidate itself, so it goes straight to the pool — the
-    // permanent lane sync distributes it — instead of the rejection loop.
+    // cuts the candidate itself, so it is pooled without rejecting — the
+    // lane sync distributes it — instead of joining the rejection rows.
     if (ctx.integral && core_seen && core != active) {
       const SlaveResult cr = core_slave.solve(core, deficit, opts.warm_start);
-      if (cr.feasible || !cr.cut.coefs.empty() || cr.cut.constant > 0.0) {
-        if (pool->add(to_row(cr.cut, "mwcut" + std::to_string(slave_calls)))) {
-          ++mw_cuts;
-        }
+      if (!cr.uncertified()) {
+        out.pool_cuts.push_back(detail::cut_row(
+            master, cr.cut, "mwcut" + std::to_string(slave_calls)));
       }
     }
     return out;
   };
 
   const MilpResult mr = solve_milp(msession, mopts);
-
-  AdmissionResult res;
-  if (best_active.empty()) {
-    res.admitted.assign(inst.tenants().size(), std::nullopt);
-  } else {
-    res = detail::assemble_result(inst, best_active, best_z);
-  }
-  const double lb = mr.best_bound;  // master bound, θ included — a true LB
-  res.objective = ub == kInf ? 0.0 : ub;
-  res.bound = lb;
+  st.lb = mr.best_bound;  // master bound, θ included — a true LB
+  st.stats = mr;
+  st.master_pivots = mr.lp_iterations;
   // One slave solve here plays the role of one classic outer iteration.
-  res.iterations = static_cast<int>(slave_calls);
-  res.solve_ms = elapsed() * 1e3;
-  res.optimal = ub < kInf && ub - lb <= opts.epsilon * (1.0 + std::abs(ub));
-  res.deficit = best_deficit;
-  static_cast<SolveStats&>(res) = mr;
-  res.cuts_separated += mw_cuts;
-  res.master_pivots = mr.lp_iterations;
-  return res;
+  return st.result(inst, static_cast<int>(slave_calls), elapsed() * 1e3,
+                   opts.epsilon);
 }
 
 }  // namespace
@@ -409,14 +435,16 @@ AdmissionResult solve_benders(const AcrrInstance& inst,
   // with dual simplex — the cut leaves it dual-feasible — instead of the
   // artificial-repair Phase 1 the old Basis plumbing went through.
   LpSession msession(std::move(master.lp), opts.master.lp);
-  // Merged over the per-iteration master solves, plus the appended cuts
-  // and the slave solves this loop runs itself.
-  SolveStats stats;
-  long master_pivots = 0;
-  const auto append_cut = [&](std::string name, RowSense sense, double rhs,
-                              std::vector<Coef> coefs) {
-    msession.add_cut(std::move(name), sense, rhs, std::move(coefs));
-    ++stats.cuts_separated;
+  // st.stats merges the per-iteration master solves, plus the appended
+  // cuts and the slave solves this loop runs itself.
+  BendersState st;
+  // Optimality cut (21) θ >= const + Σ coef·x from a feasible slave,
+  // feasibility cut (22) const + Σ coef·x <= 0 otherwise.
+  const auto append_cut = [&](const BendersCut& cut,
+                              const std::string& suffix) {
+    msession.add_cut(detail::cut_row(
+        master, cut, (cut.optimality ? "optcut" : "feascut") + suffix));
+    ++st.stats.cuts_separated;
   };
   SlaveProblem slave(inst);
   // One extra SlaveProblem per probed tenant, created lazily and reused
@@ -429,11 +457,6 @@ AdmissionResult solve_benders(const AcrrInstance& inst,
   const bool deficit = inst.config().allow_deficit;
   const auto& vars = inst.vars();
 
-  double ub = kInf;
-  double lb = -kInf;
-  std::vector<char> best_active;
-  std::vector<double> best_z;
-  double best_deficit = 0.0;
   int iter = 0;
 
   for (; iter < opts.max_iterations; ++iter) {
@@ -450,8 +473,8 @@ AdmissionResult solve_benders(const AcrrInstance& inst,
     // itself; without warm_start it cold-solves like the pre-session loop.
     if (!opts.warm_start) msession.clear_basis();
     const MilpResult mr = solve_milp(msession, mopts);
-    master_pivots += mr.lp_iterations;
-    stats.merge(mr);
+    st.master_pivots += mr.lp_iterations;
+    st.stats.merge(mr);
     if (mr.status == MilpStatus::Infeasible) {
       // Structurally infeasible master (e.g. conflicting pinned slices
       // without the §3.4 relaxation): report an empty admission.
@@ -468,7 +491,7 @@ AdmissionResult solve_benders(const AcrrInstance& inst,
     // true lower bound even when the tree was truncated (branch-and-bound
     // folds dropped limit-hit nodes into best_bound conservatively).
     if (mr.status == MilpStatus::NoSolution) break;
-    lb = std::max(lb, mr.best_bound);
+    st.lb = std::max(st.lb, mr.best_bound);
 
     const std::vector<char> active = detail::extract_active(master, mr.x);
 
@@ -510,102 +533,37 @@ AdmissionResult solve_benders(const AcrrInstance& inst,
                      .solve(probe_x[p - 1], deficit, opts.warm_start);
       }
     });
-    stats.separation_rounds += static_cast<long>(srs.size());
+    st.stats.separation_rounds += static_cast<long>(srs.size());
 
     const SlaveResult& sr = srs[0];
-    // A vacuous cut (no coefficients, non-positive constant) cannot
-    // exclude anything: the slave failed without a certificate
-    // (IterationLimit), so re-solving the unchanged master would spin
-    // until the budget runs out. Stop with the current incumbent — but
-    // only after the probe results below are harvested: a feasible probe
-    // from this same fan-out may still improve the incumbent we return.
-    const bool vacuous_stop =
-        !sr.feasible && sr.cut.coefs.empty() && sr.cut.constant <= 0.0;
-    if (sr.feasible) {
-      // Γ = first-stage cost at x̄ + slave optimum (Algorithm 1, line 12).
-      const double gamma =
-          detail::first_stage_cost(inst, active) + sr.objective;
-      if (gamma < ub) {
-        ub = gamma;
-        best_active = active;
-        best_z = sr.z;
-        best_deficit = sr.deficit;
-      }
-      // Optimality cut (21): θ >= const + Σ coef·x.
-      std::vector<Coef> coefs{{master.theta_col, -1.0}};
-      for (const auto& [j, c] : sr.cut.coefs) {
-        coefs.push_back({master.x_col[static_cast<size_t>(j)], c});
-      }
-      append_cut("optcut" + std::to_string(iter), RowSense::LessEq,
-                 -sr.cut.constant, std::move(coefs));
-    } else if (!vacuous_stop) {
-      // Feasibility cut (22): const + Σ coef·x <= 0.
-      std::vector<Coef> coefs;
-      for (const auto& [j, c] : sr.cut.coefs) {
-        coefs.push_back({master.x_col[static_cast<size_t>(j)], c});
-      }
-      append_cut("feascut" + std::to_string(iter), RowSense::LessEq,
-                 -sr.cut.constant, std::move(coefs));
-    }
+    // An uncertified slave cannot exclude anything, so re-solving the
+    // unchanged master would spin until the budget runs out. Stop with the
+    // current incumbent — but only after the probe results below are
+    // harvested: a feasible probe from this same fan-out may still improve
+    // the incumbent we return.
+    const bool vacuous_stop = sr.uncertified();
+    if (sr.feasible) st.offer(inst, active, sr);
+    if (!vacuous_stop) append_cut(sr.cut, std::to_string(iter));
 
-    // ---- Probe cuts, appended in tenant order (deterministic). A probe
-    // that failed without a certificate is skipped silently — only the x̄
-    // slave's vacuous cut stops the loop, above.
+    // ---- Probe cuts, appended in tenant order (deterministic). An
+    // uncertified probe is skipped silently — only the x̄ slave's stops the
+    // loop, above.
     for (std::size_t p = 0; p < probe_tenants.size(); ++p) {
       const SlaveResult& pr = srs[p + 1];
-      const std::string suffix =
-          std::to_string(iter) + "p" + std::to_string(p);
-      if (pr.feasible) {
-        const double gamma =
-            detail::first_stage_cost(inst, probe_x[p]) + pr.objective;
-        if (gamma < ub) {
-          ub = gamma;
-          best_active = probe_x[p];
-          best_z = pr.z;
-          best_deficit = pr.deficit;
-        }
-        std::vector<Coef> coefs{{master.theta_col, -1.0}};
-        for (const auto& [j, c] : pr.cut.coefs) {
-          coefs.push_back({master.x_col[static_cast<size_t>(j)], c});
-        }
-        append_cut("optcut" + suffix, RowSense::LessEq, -pr.cut.constant,
-                   std::move(coefs));
-      } else {
-        if (pr.cut.coefs.empty() && pr.cut.constant <= 0.0) continue;
-        std::vector<Coef> coefs;
-        for (const auto& [j, c] : pr.cut.coefs) {
-          coefs.push_back({master.x_col[static_cast<size_t>(j)], c});
-        }
-        append_cut("feascut" + suffix, RowSense::LessEq, -pr.cut.constant,
-                   std::move(coefs));
-      }
+      if (pr.uncertified()) continue;
+      if (pr.feasible) st.offer(inst, probe_x[p], pr);
+      append_cut(pr.cut, std::to_string(iter) + "p" + std::to_string(p));
     }
 
     if (vacuous_stop) break;
-    if (ub < kInf && ub - lb <= opts.epsilon * (1.0 + std::abs(ub))) {
+    if (st.converged(opts.epsilon)) {
       ++iter;
       break;
     }
     if (elapsed() > opts.time_limit_sec) break;
   }
 
-  AdmissionResult res;
-  if (best_active.empty()) {
-    // Never found a feasible slave: reject everything (always feasible
-    // when nothing is pinned).
-    res.admitted.assign(inst.tenants().size(), std::nullopt);
-  } else {
-    res = detail::assemble_result(inst, best_active, best_z);
-  }
-  res.objective = ub == kInf ? 0.0 : ub;
-  res.bound = lb;
-  res.iterations = iter;
-  res.solve_ms = elapsed() * 1e3;
-  res.optimal = ub < kInf && ub - lb <= opts.epsilon * (1.0 + std::abs(ub));
-  res.deficit = best_deficit;
-  static_cast<SolveStats&>(res) = stats;
-  res.master_pivots = master_pivots;
-  return res;
+  return st.result(inst, iter, elapsed() * 1e3, opts.epsilon);
 }
 
 AdmissionResult solve_no_overbooking(const AcrrInstance& inst,

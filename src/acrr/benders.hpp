@@ -23,10 +23,6 @@ namespace ovnes::exec {
 class ThreadPool;
 }  // namespace ovnes::exec
 
-namespace ovnes::solver {
-class CutPool;  // solver/cut_pool.hpp
-}  // namespace ovnes::solver
-
 namespace ovnes::acrr {
 
 struct BendersOptions {
@@ -68,14 +64,13 @@ struct BendersOptions {
   /// Single-tree mode always strengthens cuts Magnanti–Wong style: each
   /// rejected integral candidate's cut comes with a second one from the
   /// slave at a *core* activation (the running union of feasible
-  /// candidates seen so far), pooled too. Cuts are valid at any activation
+  /// candidates seen so far), pooled without rejecting the candidate
+  /// (LazyCutResult::pool_cuts). Cuts are valid at any activation
   /// (acrr/slave.hpp), and the denser core prices resources the candidate
   /// leaves idle — the classic "pareto-optimal cut" effect without a
-  /// fractional core point (the slave takes binary activations).
+  /// fractional core point (the slave takes binary activations). Every
+  /// cut lives in the solve's own pool: none carries into the next solve.
   bool single_tree = false;
-  /// Cut pool for single-tree mode, shared with the caller (not owned;
-  /// e.g. across re-solves of a cut-round session). Null: private pool.
-  solver::CutPool* cut_pool = nullptr;
 };
 
 /// Solve Problem 2 to (near-)optimality via Algorithm 1.
@@ -126,6 +121,11 @@ void add_usage_rows(const AcrrInstance& inst, MasterModel& m,
 /// Convert a master MILP solution into per-variable activation flags.
 [[nodiscard]] std::vector<char> extract_active(const MasterModel& m,
                                                const std::vector<double>& x);
+
+/// Benders cut -> master row  constant + Σ coef·x (− θ) <= 0: the θ column
+/// first for an optimality cut, then the x columns in cut order.
+[[nodiscard]] solver::Rowdef cut_row(const MasterModel& m,
+                                     const BendersCut& cut, std::string name);
 
 /// Assemble an AdmissionResult from activation flags and slave reservations.
 [[nodiscard]] AdmissionResult assemble_result(const AcrrInstance& inst,

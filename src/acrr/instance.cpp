@@ -1,7 +1,6 @@
 #include "acrr/instance.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 namespace ovnes::acrr {
@@ -98,62 +97,6 @@ const std::vector<std::vector<int>>& AcrrInstance::vars_by_bs(int t,
                                                               CuId c) const {
   const auto& g = by_bs_[static_cast<size_t>(t) * num_cu() + c.index()];
   return g.empty() ? empty_group_ : g;
-}
-
-namespace {
-
-// FNV-1a over raw 64-bit words; doubles are hashed by bit pattern so the
-// fingerprint is exact (no tolerance): any coefficient change invalidates
-// pooled cuts, which is the conservative direction.
-inline void mix(std::uint64_t& h, std::uint64_t v) {
-  h ^= v;
-  h *= 0x100000001b3ull;
-}
-
-inline std::uint64_t bits(double d) {
-  std::uint64_t u = 0;
-  static_assert(sizeof(u) == sizeof(d));
-  std::memcpy(&u, &d, sizeof(u));
-  return u;
-}
-
-}  // namespace
-
-std::uint64_t instance_fingerprint(const AcrrInstance& inst) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  const topo::Topology& topo = inst.topology();
-  mix(h, inst.vars().size());
-  mix(h, inst.tenants().size());
-  mix(h, static_cast<std::uint64_t>(inst.num_bs()));
-  mix(h, static_cast<std::uint64_t>(inst.num_cu()));
-  mix(h, inst.config().allow_deficit ? 1u : 0u);
-  mix(h, inst.config().no_overbooking ? 1u : 0u);
-  mix(h, bits(inst.config().big_m));
-  // Column layout + slave objective: per-var tuple. Path identity is the
-  // (delay, bottleneck, link-count) triple — enough to distinguish any two
-  // catalog paths a re-built instance could swap in.
-  for (const VarInfo& v : inst.vars()) {
-    mix(h, static_cast<std::uint64_t>(v.tenant));
-    mix(h, (static_cast<std::uint64_t>(v.bs.value()) << 32) | v.cu.value());
-    mix(h, bits(v.lambda_hat));
-    mix(h, bits(v.sla));
-    mix(h, bits(v.w));
-    mix(h, bits(v.reward_share));
-    if (v.path != nullptr) {
-      mix(h, bits(v.path->delay));
-      mix(h, bits(v.path->bottleneck));
-      mix(h, v.path->links.size());
-    }
-  }
-  // acc-column layout: the feasible-CU list per tenant.
-  for (int t = 0; t < static_cast<int>(inst.tenants().size()); ++t) {
-    for (CuId c : inst.feasible_cus(t)) mix(h, c.value());
-  }
-  // Slave capacities.
-  for (const auto& bs : topo.base_stations()) mix(h, bits(bs.capacity));
-  for (const auto& cu : topo.compute_units()) mix(h, bits(cu.capacity));
-  for (const auto& link : topo.graph.links()) mix(h, bits(link.capacity));
-  return h;
 }
 
 std::size_t AdmissionResult::num_accepted() const {

@@ -14,7 +14,6 @@
 //    all-or-nothing across BSs).
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -126,19 +125,6 @@ struct Placement {
   std::vector<int> path_vars;    ///< one VarInfo index per BS (size = B)
   std::vector<Mbps> reservation; ///< z per BS, aligned with path_vars
 };
-
-/// Fingerprint of everything that determines Benders-cut validity and the
-/// master's *column* layout for `inst`: the decision-variable list (tenant
-/// block structure, per-var λ̂/Λ/w coefficients, path identity), per-tenant
-/// feasible-CU sets, topology capacities, and the slave-shaping config
-/// (big-M relaxation on/off). Two instances with equal fingerprints may
-/// safely share a solver::CutPool: every pooled cut row references master
-/// columns that exist with the same meaning, and the slave value function
-/// the cuts under-approximate is identical. Pinning (TenantModel::pinned_cu)
-/// is deliberately EXCLUDED — cuts are valid at any activation vector, and
-/// pins only restrict the master's feasible set — so a pool survives the
-/// arrival→pinned transition of the orchestrator's retry loop.
-[[nodiscard]] std::uint64_t instance_fingerprint(const AcrrInstance& inst);
 
 /// Solver counters come from the solver::SolveStats base (zero for KAC;
 /// Benders sums them over its master and slave solves).

@@ -41,6 +41,13 @@ struct SlaveResult {
   std::vector<double> z;           ///< per instance-var; 0 for inactive vars
   double deficit = 0.0;            ///< Σ δ under the big-M relaxation
   BendersCut cut;                  ///< optimality or feasibility cut
+
+  /// The slave failed without a certificate (e.g. its LP hit the
+  /// iteration limit): infeasible with a vacuous cut — no coefficients,
+  /// constant <= 0 — that can exclude no master point.
+  [[nodiscard]] bool uncertified() const {
+    return !feasible && cut.coefs.empty() && cut.constant <= 0.0;
+  }
 };
 
 class SlaveProblem {

@@ -90,28 +90,9 @@ forecast::Forecast Simulation::admission_forecast(
 }
 
 acrr::AdmissionResult Simulation::dispatch_solver(
-    const acrr::AcrrInstance& inst, bool) {
+    const acrr::AcrrInstance& inst) {
   switch (cfg_.algorithm) {
-    case Algorithm::Benders: {
-      acrr::BendersOptions opts = cfg_.benders;
-      // Cross-epoch cut sharing (single-tree only: the classic loop keeps
-      // its cuts as master rows, not pool entries). The pool survives from
-      // epoch to epoch as long as the instance fingerprint — column layout,
-      // objective coefficients, capacities — is unchanged; any drift clears
-      // it, so pooled rows can never cut a valid point of a new instance.
-      if (opts.single_tree && opts.cut_pool == nullptr) {
-        const std::uint64_t fp = acrr::instance_fingerprint(inst);
-        if (epoch_pool_ == nullptr) {
-          epoch_pool_ = std::make_unique<solver::CutPool>();
-        }
-        if (fp != epoch_pool_fingerprint_) {
-          epoch_pool_->clear();
-          epoch_pool_fingerprint_ = fp;
-        }
-        opts.cut_pool = epoch_pool_.get();
-      }
-      return acrr::solve_benders(inst, opts);
-    }
+    case Algorithm::Benders: return acrr::solve_benders(inst, cfg_.benders);
     case Algorithm::Kac: return acrr::solve_kac(inst, cfg_.kac);
     case Algorithm::NoOverbooking:
       return acrr::solve_no_overbooking(inst, cfg_.milp);
@@ -167,7 +148,7 @@ EpochReport Simulation::run_epoch() {
     acfg.allow_deficit = acfg.allow_deficit || !active_.empty();
     acfg.no_overbooking = cfg_.algorithm == Algorithm::NoOverbooking;
     const acrr::AcrrInstance inst(topo_, catalog_, tenants, acfg);
-    const acrr::AdmissionResult result = dispatch_solver(inst, !active_.empty());
+    const acrr::AdmissionResult result = dispatch_solver(inst);
     report.solve_ms = result.solve_ms;
     report.deficit = result.deficit;
     static_cast<solver::SolveStats&>(report) = result;

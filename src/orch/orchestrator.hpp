@@ -28,7 +28,6 @@
 #include "forecast/smoothing.hpp"
 #include "orch/controllers.hpp"
 #include "orch/slice_manager.hpp"
-#include "solver/cut_pool.hpp"
 #include "slice/slice.hpp"
 #include "topo/generators.hpp"
 #include "traffic/demand.hpp"
@@ -159,8 +158,9 @@ class Simulation {
 
   [[nodiscard]] forecast::Forecast admission_forecast(
       const slice::SliceRequest& req, const SliceRuntime* runtime) const;
-  acrr::AdmissionResult dispatch_solver(const acrr::AcrrInstance& inst,
-                                        bool any_pinned);
+  /// Solve one epoch's instance with cfg_.algorithm. Each solve starts
+  /// from scratch: no Benders cut carries over from an earlier epoch.
+  acrr::AdmissionResult dispatch_solver(const acrr::AcrrInstance& inst);
   /// Push one slice's reservations down to the RAN/transport/cloud
   /// controllers; returns the number of refused calls.
   std::size_t enforce_placement(const ActiveSlice& s);
@@ -173,17 +173,6 @@ class Simulation {
   RanController ran_;
   TransportController transport_;
   CloudController cloud_;
-
-  /// Cross-epoch cut pool for the single-tree Benders solver
-  /// (acrr::BendersOptions::single_tree), lazily created: consecutive
-  /// epochs whose instances share an acrr::instance_fingerprint re-price
-  /// rejected candidates from pooled cuts instead of fresh slave solves
-  /// (EpochReport::cuts_from_pool). A fingerprint change — different tenant
-  /// set, forecasts or capacities — clears the pool first, so reuse is
-  /// always sound. Unused by the multi-tree loop or when benders.cut_pool
-  /// is already caller-supplied.
-  std::unique_ptr<solver::CutPool> epoch_pool_;
-  std::uint64_t epoch_pool_fingerprint_ = 0;
 
   std::vector<PendingRequest> pending_;
   std::vector<ActiveSlice> active_;

@@ -184,13 +184,6 @@ void CutPool::advance_round() {
   }
 }
 
-void CutPool::clear() {
-  std::lock_guard<std::mutex> lk(mu_);
-  entries_.clear();
-  index_.clear();
-  ++stats_.clears;
-}
-
 std::size_t CutPool::size() const {
   std::lock_guard<std::mutex> lk(mu_);
   std::size_t n = 0;

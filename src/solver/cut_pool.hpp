@@ -2,7 +2,8 @@
 //
 // Single-tree Branch-and-Benders-cut separates cuts *inside* one
 // branch-and-bound run: any lane may produce a cut at any time, and every
-// lane wants every cut. The pool is the shared rendezvous point:
+// lane wants every cut. The pool is the shared rendezvous point, one per
+// lazy-cut solve_milp run and gone when the run returns:
 //
 //  * add() admits a row once — rows that are permutations or positive
 //    scalar multiples of a pooled row hash to the same normalized
@@ -57,7 +58,6 @@ class CutPool {
     long evicted = 0;     ///< rows aged out of the active set
     long lookups = 0;     ///< violated_at calls
     long hits = 0;        ///< rows returned by violated_at (re-activations)
-    long clears = 0;      ///< clear() calls (cross-epoch fingerprint resets)
   };
 
   CutPool() = default;
@@ -86,13 +86,6 @@ class CutPool {
   /// rows (oldest idle streak first, lowest activity as tie-break) until
   /// the active set fits Options::capacity again.
   void advance_round();
-
-  /// Drop every row — log included. For long-lived pools shared *across*
-  /// solves (the orchestrator's cross-epoch pool): when the owning
-  /// instance's fingerprint changes the pooled rows reference a dead
-  /// column layout and must not survive. Callers must only clear between
-  /// solves (no lane holds a fetch_new version across a clear).
-  void clear();
 
   [[nodiscard]] std::size_t size() const;         ///< active rows
   [[nodiscard]] std::size_t log_size() const;     ///< all rows ever admitted

@@ -107,10 +107,9 @@ struct BnbShared {
   /// Warm handle for the root node (and the dive): the caller session's
   /// incumbent basis, or a shared copy of MilpOptions::warm_start.
   SharedBasis root_warm;
-  /// Shared cut pool, non-null iff opts.lazy_cuts is set (caller-supplied
-  /// or owned by run()'s frame — either way it outlives every node hold,
-  /// the same lifetime argument as `base`).
-  CutPool* cuts = nullptr;
+  /// The solve's cut pool, shared by its lanes; non-null iff
+  /// opts.lazy_cuts is set.
+  std::unique_ptr<CutPool> cuts;
   /// Serializes lazy-cut callback invocations: the callback contract lets
   /// it keep unsynchronized per-decomposition state (slave sessions, core
   /// points). Separate from `mu` — separation runs slave LPs and must not
@@ -125,7 +124,7 @@ struct BnbShared {
   /// The result's counters. `pseudocost_branchings` and `strong_probes`
   /// (probe LPs reserved in pairs before the fan-out, so the budget is
   /// never oversubscribed across lanes) are guarded by pc_mu, every other
-  /// field by mu. cuts_evicted is filled in at compose time.
+  /// field by mu. cuts_evicted is read off the pool at compose time.
   SolveStats stats;
 
   std::mutex mu;
@@ -360,6 +359,11 @@ SeparationStep separate_candidate(BnbShared& sh, const LpResult& lp,
   {
     std::lock_guard<std::mutex> lk(sh.sep_mu);
     sep = sh.opts.lazy_cuts(LazyCutContext{lp.x, lp.objective, integral});
+    // Pool-only rows go in under the separation lock, in callback order
+    // and ahead of the rejection rows.
+    for (Rowdef& r : sep.pool_cuts) {
+      if (sh.cuts->add(std::move(r))) ++step.fresh;
+    }
   }
   step.called = true;
   if (sep.abandon) {
@@ -831,20 +835,10 @@ class BranchAndBound {
   MilpResult run() {
     MilpResult res;
     const auto t0 = std::chrono::steady_clock::now();
-    if (opts_.lazy_cuts && opts_.cut_pool == nullptr) owned_pool_.emplace();
     auto sh = std::make_shared<BnbShared>();
     sh->base = &base_;
     sh->opts = opts_;
-    // A caller-shared pool keeps a lifetime eviction count: the result
-    // reports only this solve's share of it.
-    long evicted_at_start = 0;
-    if (opts_.lazy_cuts) {
-      // Like `base`, the pool is only dereferenced while a lane holds a
-      // node, so run()'s frame (or the caller, for cut_pool) outlives
-      // every access even with queued-but-unstarted lane tasks.
-      sh->cuts = opts_.cut_pool != nullptr ? opts_.cut_pool : &*owned_pool_;
-      evicted_at_start = sh->cuts->stats().evicted;
-    }
+    if (opts_.lazy_cuts) sh->cuts = std::make_unique<CutPool>();
     sh->int_vars = int_vars_;
     sh->t0 = t0;
     if (opts_.branching == BranchRule::Pseudocost) {
@@ -920,9 +914,7 @@ class BranchAndBound {
     res.root_basis = sh->root_basis;
     res.peak_open_nodes = sh->peak_open;
     static_cast<SolveStats&>(res) = sh->stats;
-    if (sh->cuts != nullptr) {
-      res.cuts_evicted = sh->cuts->stats().evicted - evicted_at_start;
-    }
+    if (sh->cuts != nullptr) res.cuts_evicted = sh->cuts->stats().evicted;
     const bool hit_limit = sh->hit_limit || dive_hit_limit;
     if (sh->unbounded) {
       res.status = MilpStatus::NoSolution;
@@ -961,19 +953,6 @@ class BranchAndBound {
   void dive(BnbShared& sh, bool& dive_hit_limit) const {
     LpSession sess(base_, opts_.lp);
     sess.set_warm_basis(sh.root_warm);
-    if (sh.cuts != nullptr) {
-      // A caller-shared pool (MilpOptions::cut_pool) may carry cuts from
-      // earlier solves: give the dive the tightened model up front. Rows
-      // inherited this way are the cross-solve reuse channel, so they count
-      // as from-pool cuts (within-solve lane syncs do not — those rows were
-      // separated, and counted, during this solve).
-      std::size_t version = 0;
-      auto pooled = sh.cuts->fetch_new(version);
-      if (opts_.cut_pool != nullptr) {
-        sh.stats.cuts_from_pool += static_cast<long>(pooled.size());
-      }
-      for (Rowdef& r : pooled) sess.add_cut(std::move(r));
-    }
     int sep_rounds = 0;
     // Separation re-solves share the step budget: `continue` advances
     // `step`, and every pass through the loop head counts a node against
@@ -1055,8 +1034,7 @@ class BranchAndBound {
     LpSession sess(base_, opts_.lp);
     sess.set_warm_basis(sh.root_warm);
     if (sh.cuts != nullptr) {
-      // Same tightened-model start as the dive (rows already counted
-      // there; RENS adds no from-pool accounting of its own).
+      // Start from the rows the dive separated (already counted there).
       std::size_t version = 0;
       auto pooled = sh.cuts->fetch_new(version);
       for (Rowdef& r : pooled) sess.add_cut(std::move(r));
@@ -1080,9 +1058,6 @@ class BranchAndBound {
   MilpOptions opts_;
   std::vector<int> int_vars_;
   LpSession* session_ = nullptr;  ///< not owned; see solve_milp(LpSession&)
-  /// Private pool for lazy-cut runs without a caller-supplied
-  /// MilpOptions::cut_pool; lives through run() (see BnbShared::cuts).
-  std::optional<CutPool> owned_pool_;
 };
 
 }  // namespace

@@ -37,8 +37,6 @@ class ThreadPool;
 
 namespace ovnes::solver {
 
-class CutPool;  // solver/cut_pool.hpp — shared across lanes when lazy cuts run
-
 /// \brief Candidate point handed to the lazy-cut callback.
 struct LazyCutContext {
   const std::vector<double>& x;  ///< candidate solution (structural vars)
@@ -54,6 +52,10 @@ struct LazyCutResult {
   /// valid (it is pooled and appended to every lane's model, not just this
   /// node's). Empty + !abandon accepts the candidate.
   std::vector<Rowdef> cuts;
+  /// Globally valid rows to pool WITHOUT rejecting the candidate (e.g. the
+  /// Magnanti–Wong core cut of single-tree Benders): pooled in order,
+  /// before `cuts`, and reaching every lane through the pool sync.
+  std::vector<Rowdef> pool_cuts;
   /// Separation failed without a certificate (e.g. a slave hit its
   /// iteration limit): the candidate is rejected AND its node is dropped
   /// conservatively — the node's bound folds into best_bound and the solve
@@ -85,17 +87,15 @@ enum class MilpStatus {
 /// Results of several solves combine with merge(), the one rule for all.
 struct SolveStats {
   // -- Lazy-cut observability (all zero unless MilpOptions::lazy_cuts ran).
-  /// Rows admitted to the cut pool from callback separation. Benders adds
-  /// its own: the Magnanti–Wong core cuts (single-tree) or every cut
-  /// appended to the master (multi-tree).
+  /// Rows admitted to the solve's cut pool from callback separation
+  /// (LazyCutResult::cuts and ::pool_cuts). Multi-tree Benders counts
+  /// every cut it appends to the master instead.
   long cuts_separated = 0;
-  /// Pooled rows that priced a candidate without a separation call: rows
-  /// the pool lookup found violated first, plus rows inherited from a
-  /// caller-shared pool (MilpOptions::cut_pool) at solve start — the
-  /// cross-solve reuse channel.
+  /// Pooled rows that rejected a candidate without a separation call: the
+  /// pool lookup found them violated first. The pool lives for one solve,
+  /// so every such row was separated earlier in the same solve.
   long cuts_from_pool = 0;
-  /// Rows that left the pool's active set (aged out or dominated) during
-  /// this solve, also when the caller shares the pool across solves.
+  /// Rows that left the solve's pool active set (aged out or dominated).
   long cuts_evicted = 0;
   /// Separation callback invocations (integral + fractional rounds); for
   /// multi-tree Benders, slave solves (the master's x̄ plus probes).
@@ -215,7 +215,8 @@ struct MilpOptions {
   /// Lazy-constraint hook (single-tree Branch-and-Benders-cut): when set,
   /// every integer-feasible candidate is offered to the callback and
   /// accepted as incumbent only if separation returns no violated row.
-  /// Returned rows go to the shared cut pool and are appended to every
+  /// Returned rows go to the solve's cut pool (created for the run, shared
+  /// by its lanes, gone when solve_milp returns) and are appended to every
   /// lane's LpSession before its next node (cuts must therefore be
   /// *globally valid*, like Benders cuts — they may not cut off integer
   /// points that are feasible for the true problem). Each separation
@@ -235,9 +236,6 @@ struct MilpOptions {
   /// Guard on integral-candidate separation rounds per node; hitting it
   /// drops the node conservatively (never claims Optimal past it).
   int max_separation_rounds = 64;
-  /// Cut pool shared with the caller (not owned; outlive the solve). Null
-  /// with lazy_cuts set: the solver creates a private pool for the run.
-  CutPool* cut_pool = nullptr;
   SimplexOptions lp;
 };
 

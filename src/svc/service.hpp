@@ -20,8 +20,8 @@
 //      the bench_regression svc cases).
 //
 // Epoch ticks fan end_epoch() out across shards (expiries, drift-triggered
-// Benders re-solves against each shard's cross-epoch cut pool) and append
-// the expiry decisions in shard order under the tick's sequence number.
+// Benders shard re-solves) and append the expiry decisions in shard order
+// under the tick's sequence number.
 #pragma once
 
 #include <cstdint>

@@ -476,10 +476,7 @@ void Shard::end_epoch(std::size_t epoch, std::vector<Decision>& out) {
 void Shard::benders_resolve() {
   // Exact joint re-optimization of the shard population: every live tenant
   // pinned to its CU (no mid-slice migration), §3.4 deficit relaxation on
-  // so the pinned set is always feasible. The shard's CutPool carries
-  // Benders cuts across epochs; acrr::instance_fingerprint gates reuse —
-  // any change in population, forecasts or coefficients clears it
-  // (pooled rows would reference a dead column layout).
+  // so the pinned set is always feasible.
   std::vector<std::uint32_t> slots;
   std::vector<acrr::TenantModel> tenants;
   slots.reserve(slab_.size());
@@ -491,8 +488,8 @@ void Shard::benders_resolve() {
     tm.request.tenant = TenantId(static_cast<std::uint32_t>(t.id));
     tm.request.name = "t" + std::to_string(t.id);
     tm.request.tmpl = types_[static_cast<std::size_t>(t.type)].tmpl;
-    // Risk horizon = the ORIGINAL duration: keeping it constant keeps the
-    // fingerprint (and therefore the pool) stable across epochs.
+    // Risk horizon = the ORIGINAL duration: the re-solve prices w with
+    // the duration the hot path priced it with at admission.
     tm.request.duration_epochs = std::max<std::uint32_t>(1, t.duration);
     tm.request.penalty_factor = t.penalty_factor;
     tm.lambda_hat = t.lambda_hat;
@@ -505,16 +502,9 @@ void Shard::benders_resolve() {
   acrr::AcrrConfig ac;
   ac.allow_deficit = true;  // pins require the §3.4 relaxation
   const acrr::AcrrInstance inst(topo_, catalog_, std::move(tenants), ac);
-  const std::uint64_t fp = acrr::instance_fingerprint(inst);
-  if (fp != pool_fingerprint_) {
-    if (pool_fingerprint_ != 0) ++stats_.pool_resets;
-    pool_.clear();
-    pool_fingerprint_ = fp;
-  }
 
   acrr::BendersOptions bo;
   bo.single_tree = true;
-  bo.cut_pool = &pool_;
   // Deterministic replay: one B&B lane and a NODE budget
   // (ShardConfig::resolve_max_nodes), no wall-clock limit — a time limit
   // would make the decision log timing-dependent.

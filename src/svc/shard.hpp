@@ -30,18 +30,15 @@
 // Slow path (end_epoch): demand updates accumulate forecast drift; past
 // ShardConfig::drift_threshold (or every full_resolve_every epochs) the
 // shard re-optimizes ALL its tenants jointly with the single-tree
-// Branch-and-Benders-cut solver, carrying its private solver::CutPool
-// across epochs gated by acrr::instance_fingerprint — an unchanged shard
-// population re-prices from pooled cuts instead of fresh slave solves.
-// Shards too large for an exact re-solve fall back to a deterministic
-// greedy repack in slot order.
+// Branch-and-Benders-cut solver, each re-solve from scratch (no cut
+// carries over from the last one). Shards too large for an exact
+// re-solve fall back to a deterministic greedy repack in slot order.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "acrr/instance.hpp"
-#include "solver/cut_pool.hpp"
 #include "solver/lp_session.hpp"
 #include "svc/arena.hpp"
 #include "svc/events.hpp"
@@ -124,7 +121,8 @@ struct ShardStats : solver::SolveStats {
   // Epoch re-optimization machinery.
   std::uint64_t full_resolves = 0;    ///< exact Benders shard re-solves
   std::uint64_t greedy_repacks = 0;   ///< oversize fallback repacks
-  std::uint64_t pool_resets = 0;      ///< fingerprint changes that cleared the pool
+  /// Always 0; kept only because bench_e2e/ reads it.
+  std::uint64_t pool_resets = 0;
   // SLA accounting under overbooking.
   double violation_minutes = 0.0;      ///< Σ tenant-minutes with demand > z
   std::uint64_t violation_samples = 0; ///< DemandUpdates that hit ≥ 1 BS
@@ -132,8 +130,8 @@ struct ShardStats : solver::SolveStats {
   void accumulate(const ShardStats& o);
 };
 
-/// \brief One lock-free-by-ownership shard: tenants, committed resources,
-/// the incremental admission LP, and the cross-epoch Benders cut pool.
+/// \brief One lock-free-by-ownership shard: tenants, committed resources
+/// and the incremental admission LP.
 /// Never copied or moved (TypeInfo holds pointers into the member catalog).
 class Shard {
  public:
@@ -172,7 +170,6 @@ class Shard {
   [[nodiscard]] const solver::LpSession::Stats& session_stats() const {
     return session_.stats();
   }
-  [[nodiscard]] solver::CutPool::Stats pool_stats() const { return pool_.stats(); }
   [[nodiscard]] const topo::Topology& topology() const { return topo_; }
 
  private:
@@ -254,10 +251,6 @@ class Shard {
   // Drift tracking for the re-solve trigger.
   double drift_abs_ = 0.0;            ///< Σ |λ̂ − λ̂_admitted| over live tenants
   double lambda_admitted_sum_ = 0.0;  ///< Σ λ̂_admitted over live tenants
-
-  // Cross-epoch Benders cut pool, fingerprint-gated.
-  solver::CutPool pool_;
-  std::uint64_t pool_fingerprint_ = 0;
 
   ShardStats stats_;
 };

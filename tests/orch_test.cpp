@@ -183,14 +183,14 @@ TEST(Simulation, RetryRejectedQueuesAgain) {
   EXPECT_EQ(r1.rejected.size() + r1.accepted.size(), rejected_first);
 }
 
-TEST(Simulation, SingleTreeSharesCutPoolAcrossEpochs) {
-  // With share_cut_pool (default on) the single-tree master keeps its
-  // Benders cuts in a Simulation-owned pool between epochs. Converged
-  // oracle forecasts + a persistently retried reject give two successive
-  // solves the *same* instance fingerprint: the second starts from the
-  // first's pooled cuts instead of separating from scratch.
+TEST(Simulation, SingleTreeSolvesEachEpochFromScratch) {
+  // Converged oracle forecasts + a persistently retried reject give two
+  // successive single-tree solves the same instance. No cut carries from
+  // one epoch's solve to the next: the second separates as many cuts as
+  // the first, takes none from an earlier pool, and admits the same.
   OrchestratorConfig cfg = fast_cfg(Algorithm::Benders);
   cfg.benders.single_tree = true;
+  cfg.benders.master.threads = 1;
   cfg.learn_forecasts = false;  // declared descriptors: stable λ̂ σ̂
   cfg.retry_rejected = true;
   Simulation sim(topo::make_testbed(), 2, cfg);
@@ -204,12 +204,14 @@ TEST(Simulation, SingleTreeSharesCutPoolAcrossEpochs) {
   const EpochReport r0 = sim.run_epoch();
   ASSERT_EQ(r0.accepted.size(), 1u);
   ASSERT_EQ(r0.rejected.size(), 1u);
-  const EpochReport r1 = sim.run_epoch();  // pins + retry: new fingerprint
+  const EpochReport r1 = sim.run_epoch();  // pins + retry
   ASSERT_EQ(r1.rejected.size(), 1u);
   EXPECT_GT(r1.cuts_separated, 0);
-  const EpochReport r2 = sim.run_epoch();  // identical instance: pool carry
-  ASSERT_EQ(r2.rejected.size(), 1u);
-  EXPECT_GT(r2.cuts_from_pool, 0);
+  const EpochReport r2 = sim.run_epoch();  // the same instance again
+  EXPECT_EQ(r2.cuts_from_pool, 0);
+  EXPECT_EQ(r2.cuts_separated, r1.cuts_separated);
+  EXPECT_EQ(r2.accepted, r1.accepted);
+  EXPECT_EQ(r2.rejected, r1.rejected);
   // Overbooking accounting fields are populated alongside.
   EXPECT_GE(r2.overbooked_mbps, 0.0);
   EXPECT_GE(r2.radio_headroom_mbps, 0.0);

@@ -1,7 +1,8 @@
 // Single-tree Branch-and-Benders-cut coverage, both layers:
 //  * solver: the MilpOptions::lazy_cuts hook — transparent acceptance,
 //    cut-driven incumbent refinement, conservative accounting when a
-//    candidate is repeatedly rejected or separation abandons a node;
+//    candidate is repeatedly rejected or separation abandons a node,
+//    pool-only rows rejecting later candidates without a callback call;
 //  * acrr: solve_benders(single_tree=true) agrees with the classic
 //    multi-tree loop on the admission objective (serial and parallel) and
 //    reports the cut counters.
@@ -15,7 +16,6 @@
 #include "acrr/benders.hpp"
 #include "acrr/instance.hpp"
 #include "common/rng.hpp"
-#include "solver/cut_pool.hpp"
 #include "solver/milp.hpp"
 #include "topo/generators.hpp"
 
@@ -132,64 +132,39 @@ TEST(LazyCuts, AbandonedSeparationDropsNodeConservatively) {
   EXPECT_LE(res.best_bound, -1.0 + 1e-9);
 }
 
-TEST(LazyCuts, SharedPoolCarriesCutsAcrossSolves) {
-  // A caller-owned pool re-rejects known-bad candidates in a second solve
-  // without invoking the callback again (cuts_from_pool at work).
-  solver::CutPool pool;
-  long calls = 0;
-  solver::MilpOptions opts;
-  opts.cut_pool = &pool;
-  opts.lazy_cuts = [&calls](const solver::LazyCutContext& ctx) {
-    solver::LazyCutResult out;
-    if (ctx.x[0] + ctx.x[1] > 1.5) {
-      ++calls;
-      out.cuts.push_back(cut_row("cap", {{0, 1.0}, {1, 1.0}}, 1.5));
-    }
-    return out;
-  };
-  const solver::MilpResult first = solver::solve_milp(two_binary_model(), opts);
-  EXPECT_DOUBLE_EQ(first.objective, -1.0);
-  const long calls_after_first = calls;
-  EXPECT_GE(calls_after_first, 1);
-  const solver::MilpResult second =
-      solver::solve_milp(two_binary_model(), opts);
-  EXPECT_DOUBLE_EQ(second.objective, -1.0);
-  // The pooled cut joins the second solve's lane models up front (the
-  // fetch_new sync), so the (1,1) candidate never surfaces: the callback
-  // is not consulted again and nothing new is separated.
-  EXPECT_EQ(calls, calls_after_first);
-  EXPECT_EQ(second.cuts_separated, 0);
-}
-
-TEST(LazyCuts, SharedPoolReportsPerSolveEvictions) {
-  // A pool with no active-set room evicts every separated row when its
-  // round closes (the log keeps the row, so lanes still append it). Each
-  // solve reports only its own evictions, so over two solves on one pool
-  // they add up to the pool's lifetime count.
-  solver::CutPool::Options popts;
-  popts.capacity = 0;
-  popts.max_idle_rounds = 0;
-  solver::CutPool pool(popts);
-  double limit = 1.5;
+TEST(LazyCuts, PoolCutsRejectLaterCandidatesWithoutTheCallback) {
+  // min -2·x0 - x1 over binaries. The first candidate (1,1) draws the
+  // rejection row x0 + x1 <= 1 plus the pool-only row x0 <= 0. The dive
+  // re-solves to (1,0), which violates the pooled row: the pool rejects it
+  // with no callback call, and the dive settles on (0,1).
   solver::MilpOptions opts;
   opts.threads = 1;
-  opts.cut_pool = &pool;
-  opts.lazy_cuts = [&limit](const solver::LazyCutContext& ctx) {
+  long calls = 0;
+  bool callback_saw_10 = false;
+  opts.lazy_cuts = [&](const solver::LazyCutContext& ctx) {
+    ++calls;
     solver::LazyCutResult out;
-    if (ctx.x[0] + ctx.x[1] > limit) {
-      out.cuts.push_back(cut_row("cap", {{0, 1.0}, {1, 1.0}}, limit));
+    if (ctx.x[0] > 0.5 && ctx.x[1] > 0.5) {
+      out.cuts.push_back(cut_row("pair", {{0, 1.0}, {1, 1.0}}, 1.0));
+      out.pool_cuts.push_back(cut_row("x0_off", {{0, 1.0}}, 0.0));
+    } else if (ctx.x[0] > 0.5) {
+      callback_saw_10 = true;
+      out.cuts.push_back(cut_row("x0_off", {{0, 1.0}}, 0.0));
     }
     return out;
   };
-  const solver::MilpResult first = solver::solve_milp(two_binary_model(), opts);
-  limit = 0.5;  // a tighter rule: the second solve separates a new row
-  const solver::MilpResult second =
-      solver::solve_milp(two_binary_model(), opts);
-  EXPECT_DOUBLE_EQ(first.objective, -1.0);
-  EXPECT_DOUBLE_EQ(second.objective, 0.0);
-  EXPECT_GT(first.cuts_evicted, 0);
-  EXPECT_GT(second.cuts_evicted, 0);
-  EXPECT_EQ(first.cuts_evicted + second.cuts_evicted, pool.stats().evicted);
+  solver::LpModel m;
+  m.add_binary("x0", -2.0);
+  m.add_binary("x1", -1.0);
+  const solver::MilpResult res = solver::solve_milp(m, opts);
+  EXPECT_EQ(res.status, solver::MilpStatus::Optimal);
+  EXPECT_DOUBLE_EQ(res.objective, -1.0);
+  EXPECT_NEAR(res.x[0], 0.0, 1e-9);
+  EXPECT_NEAR(res.x[1], 1.0, 1e-9);
+  EXPECT_FALSE(callback_saw_10);
+  EXPECT_GT(res.cuts_from_pool, 0);
+  EXPECT_EQ(calls, 2);  // at (1,1) and at the accepted (0,1)
+  EXPECT_EQ(res.cuts_separated, 2);  // the rejection row and the pool row
 }
 
 // -------------------------------------------------------------- acrr layer

@@ -276,12 +276,13 @@ TEST(SvcOverload, FullQueueShedsAndFullShardRejects) {
   EXPECT_EQ(s.live_tenants, 2u);
 }
 
-// -------------------------------------------------- cross-epoch cut pool
+// ------------------------------------------------------- epoch re-solves
 
-TEST(SvcCutPool, BendersResolveCarriesCutsAcrossEpochs) {
-  // Periodic full re-solves of an UNCHANGED shard population share one
-  // fingerprint, so the second resolve re-prices candidates from the
-  // pooled cuts of the first instead of separating them again.
+TEST(SvcResolve, UnchangedShardResolvesFromScratch) {
+  // Periodic full re-solves of an UNCHANGED shard population: no cut
+  // carries from one re-solve to the next, so the second separates as
+  // many cuts as the first, takes none from an earlier pool, and lands on
+  // the same reservations.
   exec::ThreadPool pool(1);
   ServiceConfig cfg;
   cfg.num_shards = 1;
@@ -292,36 +293,25 @@ TEST(SvcCutPool, BendersResolveCarriesCutsAcrossEpochs) {
         make_arrival(id, slice::SliceType::eMBB, 30.0, 0.5, 4.0)));
   }
   ASSERT_TRUE(svc.submit(make_epoch_tick()));
-  ASSERT_TRUE(svc.submit(make_epoch_tick()));
   svc.drain();
-
-  const ShardStats& s = svc.shard(0).stats();
-  EXPECT_EQ(s.full_resolves, 2u);
-  EXPECT_EQ(s.pool_resets, 0u);  // same population -> same fingerprint
-  EXPECT_GT(s.cuts_separated, 0);
-  EXPECT_GT(s.cuts_from_pool, 0);  // solve 2 started from solve 1's cuts
-  EXPECT_GT(svc.shard(0).pool_stats().inserted, 0);
-}
-
-TEST(SvcCutPool, PopulationChangeResetsThePool) {
-  exec::ThreadPool pool(1);
-  ServiceConfig cfg;
-  cfg.num_shards = 1;
-  cfg.shard.full_resolve_every = 1;
-  AdmissionService svc(mini(), cfg, &pool);
-  for (std::uint64_t id = 1; id <= 3; ++id) {
-    ASSERT_TRUE(svc.submit(
-        make_arrival(id, slice::SliceType::eMBB, 30.0, 0.5, 4.0)));
+  const ShardStats first = svc.shard(0).stats();
+  std::vector<double> z_first;
+  for (std::uint64_t id = 1; id <= 4; ++id) {
+    z_first.push_back(svc.shard(0).reservation_total(id));
   }
   ASSERT_TRUE(svc.submit(make_epoch_tick()));
-  // Change the population: the next resolve's fingerprint differs and the
-  // pool must be cleared (stale cuts reference a dead column layout).
-  ASSERT_TRUE(svc.submit(make_departure(2)));
-  ASSERT_TRUE(svc.submit(make_epoch_tick()));
   svc.drain();
+
   const ShardStats& s = svc.shard(0).stats();
+  EXPECT_EQ(first.full_resolves, 1u);
   EXPECT_EQ(s.full_resolves, 2u);
-  EXPECT_EQ(s.pool_resets, 1u);
+  EXPECT_EQ(s.cuts_from_pool, 0);
+  EXPECT_EQ(s.pool_resets, 0u);
+  EXPECT_GT(first.cuts_separated, 0);
+  EXPECT_EQ(s.cuts_separated, 2 * first.cuts_separated);
+  for (std::uint64_t id = 1; id <= 4; ++id) {
+    EXPECT_EQ(svc.shard(0).reservation_total(id), z_first[id - 1]) << id;
+  }
 }
 
 // ------------------------------------------------------ one resource model
