@@ -81,7 +81,7 @@ BENCHMARK(BM_SimplexSolve)->Arg(16)->Arg(64)->Arg(256);
 // `simplex_iters` counter is the total pivot count across the loop; warm
 // re-solves must beat cold ones on it (tier-1 acceptance for the
 // warm-start work).
-void master_resolve_loop(benchmark::State& state, bool warm_start) {
+void master_resolve_loop(benchmark::State& state, bool use_warm_basis) {
   const int n = 48;
   long iters = 0;
   for (auto _ : state) {
@@ -101,7 +101,7 @@ void master_resolve_loop(benchmark::State& state, bool warm_start) {
       }
       m.add_row("cut" + std::to_string(k), RowSense::LessEq, 0.8 * lhs,
                 std::move(coefs));
-      r = solve_lp(m, {}, warm_start && !basis.empty() ? &basis : nullptr);
+      r = solve_lp(m, {}, use_warm_basis && !basis.empty() ? &basis : nullptr);
       iters += r.iterations;
       basis = r.basis;
     }
@@ -141,39 +141,6 @@ void BM_RefactorizeResolveLu(benchmark::State& state) {
 BENCHMARK(BM_RefactorizeResolveLu)
     ->Arg(100)->Arg(300)->Arg(500)->Unit(benchmark::kMillisecond);
 
-// Benders-master shape at m = 300: warm re-solves after appended cuts. The
-// `simplex_iters` counter shows the warm pivot-count advantage under the LU
-// path.
-void BM_CutResolveWarmLu(benchmark::State& state) {
-  const int n = 300;
-  long iters = 0;
-  for (auto _ : state) {
-    LpModel m = random_lp(n, n, 11);
-    RngStream rng(5);
-    iters = 0;
-    LpResult r = solve_lp(m);
-    iters += r.iterations;
-    Basis basis = r.basis;
-    for (int k = 0; k < 6 && r.status == LpStatus::Optimal; ++k) {
-      std::vector<Coef> coefs;
-      double lhs = 0.0;
-      for (int j = 0; j < n; ++j) {
-        const double a = rng.uniform(0.1, 1.0);
-        coefs.push_back({j, a});
-        lhs += a * r.x[static_cast<size_t>(j)];
-      }
-      m.add_row("cut" + std::to_string(k), RowSense::LessEq, 0.8 * lhs,
-                std::move(coefs));
-      r = solve_lp(m, {}, basis.empty() ? nullptr : &basis);
-      iters += r.iterations;
-      basis = r.basis;
-    }
-    benchmark::DoNotOptimize(r);
-  }
-  state.counters["simplex_iters"] = static_cast<double>(iters);
-}
-BENCHMARK(BM_CutResolveWarmLu)->Unit(benchmark::kMillisecond);
-
 // P4/P5/P6 (ISSUE 4/5/6 acceptance): cut re-solve strategy comparison at
 // m ∈ {200, 300, 500} plus a KeptLu/Dual-only sparse tier at
 // m ∈ {2000, 5000}. The instances are benders_master_lp's slack-heavy
@@ -183,7 +150,7 @@ BENCHMARK(BM_CutResolveWarmLu)->Unit(benchmark::kMillisecond);
 // are not comparable across that boundary; docs/benchmarks.md carries the
 // PR 5-code-on-this-workload numbers for the apples-to-apples kernel
 // comparison. The loop: solve, append a violated cut, re-solve, six
-// times — under four re-solve strategies:
+// times — under three re-solve strategies:
 //   * KeptLu  — stateful LpSession with the live-factorization defaults:
 //               each cut is absorbed as a bordered update into the kept
 //               LU, dual steepest-edge pricing restores feasibility —
@@ -192,13 +159,11 @@ BENCHMARK(BM_CutResolveWarmLu)->Unit(benchmark::kMillisecond);
 //               keep_factors OFF (rebuild the LU from basis statuses every
 //               solve, DSE weights reset each solve), the setting B&B
 //               lanes run with;
-//   * Primal  — warm solve_lp: artificial repair + short Phase 1 (the
-//               PR 2/3 path; equals BM_CutResolveWarmLu at m = 300);
 //   * Cold    — stateless re-solve from scratch.
 // KeptLu must beat Dual on `refactorizations`; both price the dual loop by
 // steepest edge and take the same pivots, so KeptLu's wall-time lead is
 // the rebuilds it skips and shows at the sparse tier (m >= 2000), not at
-// m = 300. Dual must beat Primal on `simplex_iters` and time at m >= 200;
+// m = 300. Both must beat Cold on `simplex_iters` and time at m >= 200;
 // `dual_resolves` counts the re-solves that actually took the dual path.
 //
 // Timing covers the six cut re-solves only: the model build and the
@@ -206,7 +171,7 @@ BENCHMARK(BM_CutResolveWarmLu)->Unit(benchmark::kMillisecond);
 // differs there and at m >= 200 the cold solve would otherwise swamp the
 // cut-round regime this family exists to measure. The `simplex_iters` /
 // `refactorizations` counters follow the same scope (re-solves only).
-enum class CutResolveMode { KeptLu, Dual, Primal, Cold };
+enum class CutResolveMode { KeptLu, Dual, Cold };
 
 void cut_resolve_mode_loop(benchmark::State& state, CutResolveMode mode) {
   const int n = static_cast<int>(state.range(0));
@@ -278,18 +243,13 @@ void cut_resolve_mode_loop(benchmark::State& state, CutResolveMode mode) {
       benchmark::DoNotOptimize(r);
     } else {
       LpResult r = solve_lp(m);
-      Basis basis = r.basis;
       state.ResumeTiming();
       for (int k = 0; k < 6 && r.status == LpStatus::Optimal; ++k) {
         auto [coefs, rhs] = make_cut(r.x);
         m.add_row("cut" + std::to_string(k), RowSense::LessEq, rhs,
                   std::move(coefs));
-        const Basis* warm = mode == CutResolveMode::Primal && !basis.empty()
-                                ? &basis
-                                : nullptr;
-        r = solve_lp(m, {}, warm);
+        r = solve_lp(m);
         iters += r.iterations;
-        basis = r.basis;
       }
       benchmark::DoNotOptimize(r);
     }
@@ -315,8 +275,9 @@ void BM_CutResolveKeptLu(benchmark::State& state) {
 }
 BENCHMARK(BM_CutResolveKeptLu)
     ->Arg(200)->Arg(300)->Arg(500)
-    // Sparse tier: linear-ish under the sparse kernel. KeptLu/Dual only — the primal/cold strategies would dominate
-    // total bench time without saying anything new about the kernel.
+    // Sparse tier: linear-ish under the sparse kernel. KeptLu/Dual only —
+    // the cold strategy would dominate total bench time without saying
+    // anything new about the kernel.
     ->Arg(2000)->Arg(5000)->Unit(benchmark::kMillisecond);
 
 void BM_CutResolveDual(benchmark::State& state) {
@@ -325,12 +286,6 @@ void BM_CutResolveDual(benchmark::State& state) {
 BENCHMARK(BM_CutResolveDual)
     ->Arg(200)->Arg(300)->Arg(500)
     ->Arg(2000)->Arg(5000)->Unit(benchmark::kMillisecond);
-
-void BM_CutResolvePrimal(benchmark::State& state) {
-  cut_resolve_mode_loop(state, CutResolveMode::Primal);
-}
-BENCHMARK(BM_CutResolvePrimal)
-    ->Arg(200)->Arg(300)->Arg(500)->Unit(benchmark::kMillisecond);
 
 void BM_CutResolveCold(benchmark::State& state) {
   cut_resolve_mode_loop(state, CutResolveMode::Cold);
@@ -379,7 +334,7 @@ void BM_NodeResolve(benchmark::State& state) {
     state.SkipWithError("root LP not optimal");
     return;
   }
-  const SharedBasis root_basis = sess.basis();
+  const SharedBasis root_snapshot = sess.basis();
   struct Branch {
     int var;
     double lower, upper;
@@ -399,7 +354,7 @@ void BM_NodeResolve(benchmark::State& state) {
     for (const Branch& b : children) {
       sess.push();
       sess.set_bounds(b.var, b.lower, b.upper);
-      sess.set_warm_basis(root_basis);
+      sess.set_warm_basis(root_snapshot);
       const LpResult& r = sess.solve();
       ++solves;
       if (r.used_dual_simplex) {
@@ -589,19 +544,6 @@ void BM_BendersFull(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BendersFull)->Arg(5)->Arg(10)->Unit(benchmark::kMillisecond);
-
-void BM_BendersFullColdStart(benchmark::State& state) {
-  const topo::Topology topo = topo::make_romanian({0.03, 9});
-  const topo::PathCatalog catalog(topo, 2);
-  const acrr::AcrrInstance inst =
-      make_instance(topo, catalog, static_cast<std::size_t>(state.range(0)));
-  acrr::BendersOptions opts;
-  opts.warm_start = false;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(acrr::solve_benders(inst, opts));
-  }
-}
-BENCHMARK(BM_BendersFullColdStart)->Arg(5)->Arg(10)->Unit(benchmark::kMillisecond);
 
 void BM_KacFull(benchmark::State& state) {
   const topo::Topology topo = topo::make_romanian({0.03, 9});

@@ -356,13 +356,12 @@ AdmissionResult solve_benders_single_tree(const AcrrInstance& inst,
   // One tree gets the whole Benders budget (the classic loop splits it
   // into per-iteration master solves).
   mopts.time_limit_sec = opts.time_limit_sec;
-  // Root fractional separation is intrinsic to the mode (SCIP's benderslp):
-  // master.max_lp_cut_rounds still tunes how many rounds.
+  // Root fractional separation is intrinsic to the mode (SCIP's benderslp).
   mopts.benders_lp_cuts = true;
   mopts.lazy_cuts = [&](const LazyCutContext& ctx) -> LazyCutResult {
     LazyCutResult out;
     const std::vector<char> active = detail::extract_active(master, ctx.x);
-    const SlaveResult sr = slave.solve(active, deficit, opts.warm_start);
+    const SlaveResult sr = slave.solve(active, deficit);
     ++slave_calls;
     if (sr.uncertified()) {
       // No valid cut exists to reject the candidate, and accepting it
@@ -398,7 +397,7 @@ AdmissionResult solve_benders_single_tree(const AcrrInstance& inst,
     // cuts the candidate itself, so it is pooled without rejecting — the
     // lane sync distributes it — instead of joining the rejection rows.
     if (ctx.integral && core_seen && core != active) {
-      const SlaveResult cr = core_slave.solve(core, deficit, opts.warm_start);
+      const SlaveResult cr = core_slave.solve(core, deficit);
       if (!cr.uncertified()) {
         out.pool_cuts.push_back(detail::cut_row(
             master, cr.cut, "mwcut" + std::to_string(slave_calls)));
@@ -470,8 +469,7 @@ AdmissionResult solve_benders(const AcrrInstance& inst,
         std::min(mopts.time_limit_sec, opts.time_limit_sec - elapsed());
     if (mopts.time_limit_sec <= 0.0) break;
     // The session carries the previous root basis across iterations by
-    // itself; without warm_start it cold-solves like the pre-session loop.
-    if (!opts.warm_start) msession.clear_basis();
+    // itself, so each master re-solve starts warm after the cut append.
     const MilpResult mr = solve_milp(msession, mopts);
     st.master_pivots += mr.lp_iterations;
     st.stats.merge(mr);
@@ -527,10 +525,10 @@ AdmissionResult solve_benders(const AcrrInstance& inst,
     std::vector<SlaveResult> srs(1 + probe_tenants.size());
     pool.parallel_for(0, srs.size(), [&](std::size_t p) {
       if (p == 0) {
-        srs[0] = slave.solve(active, deficit, opts.warm_start);
+        srs[0] = slave.solve(active, deficit);
       } else {
         srs[p] = probe_slaves.at(probe_tenants[p - 1])
-                     .solve(probe_x[p - 1], deficit, opts.warm_start);
+                     .solve(probe_x[p - 1], deficit);
       }
     });
     st.stats.separation_rounds += static_cast<long>(srs.size());

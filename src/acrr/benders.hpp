@@ -30,10 +30,6 @@ struct BendersOptions {
   double epsilon = 1e-5;        ///< relative UB-LB convergence tolerance
   double time_limit_sec = 120.0;
   solver::MilpOptions master;   ///< branch-and-bound knobs for the master
-  /// Re-use each master solve's root-LP basis to warm-start the next
-  /// iteration's master (after the cut append) and cache the slave basis.
-  /// Iteration counts and cuts are unchanged; only simplex pivots shrink.
-  bool warm_start = true;
   /// Per-iteration concurrent probe slaves: besides the slave at the
   /// master's x̄, solve up to this many per-tenant "drop one admitted
   /// tenant" slaves — each on its own SlaveProblem instance (the

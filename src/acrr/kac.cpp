@@ -147,9 +147,10 @@ AdmissionResult solve_kac(const AcrrInstance& inst, const KacOptions& opts) {
     prev_selected = selected;
     selected = pack(agg_capacity, use_weights);
 
-    if (opts.enable_banning && selected == prev_selected) {
+    if (selected == prev_selected) {
       // Re-pack reproduced an infeasible selection: ban the packed
-      // non-pinned item with the worst profit density on this ray.
+      // non-pinned item with the worst profit density on this ray, so the
+      // loop cannot cycle on it.
       std::size_t worst = items.size();
       double worst_density = std::numeric_limits<double>::infinity();
       for (std::size_t i = 0; i < items.size(); ++i) {

@@ -19,9 +19,6 @@ namespace ovnes::acrr {
 
 struct KacOptions {
   int max_iterations = 100;
-  /// Safety valve: when a re-pack reproduces the previous selection, the
-  /// lowest-density packed item is banned outright so the loop terminates.
-  bool enable_banning = true;
 };
 
 [[nodiscard]] AdmissionResult solve_kac(const AcrrInstance& inst,

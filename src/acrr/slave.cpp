@@ -40,7 +40,7 @@ double reservation_floor(const AcrrInstance& inst, const VarInfo& v) {
 }  // namespace
 
 SlaveResult SlaveProblem::solve(const std::vector<char>& x_active,
-                                bool allow_deficit, bool reuse_basis) const {
+                                bool allow_deficit) const {
   using namespace ovnes::solver;
   const AcrrInstance& inst = *inst_;
   const auto& vars = inst.vars();
@@ -49,9 +49,8 @@ SlaveResult SlaveProblem::solve(const std::vector<char>& x_active,
   // ---- Session cache: when the master proposes the same activation
   // vector as the cached session, skip the model build outright and
   // re-solve the live session (its incumbent basis re-verifies in zero
-  // pivots). Otherwise, and on every call without `reuse_basis`, (re)build
-  // the slave LP and its row/variable maps.
-  const bool cache_hit = reuse_basis && session_.has_value() &&
+  // pivots). Otherwise (re)build the slave LP and its row/variable maps.
+  const bool cache_hit = session_.has_value() &&
                          warm_deficit_ == allow_deficit &&
                          warm_active_ == x_active;
   if (!cache_hit) {

@@ -56,15 +56,12 @@ class SlaveProblem {
 
   /// Solve P_S(x̄). `x_active[j]` marks variable j active. When
   /// `allow_deficit` the §3.4 aggregate deficit variables δr/δb/δc are
-  /// added (the slave is then always feasible). With `reuse_basis` the
-  /// LpSession built for the previous activation vector is kept alive and
-  /// re-solved directly whenever the master proposes the same x̄ again —
-  /// the model is not even rebuilt and the incumbent basis re-verifies in
-  /// zero pivots. Without it every call rebuilds the session (the cold
-  /// reference).
+  /// added (the slave is then always feasible). The LpSession built for
+  /// the previous activation vector is kept alive and re-solved directly
+  /// whenever the master proposes the same x̄ again — the model is not
+  /// even rebuilt and the incumbent basis re-verifies in zero pivots.
   [[nodiscard]] SlaveResult solve(const std::vector<char>& x_active,
-                                  bool allow_deficit,
-                                  bool reuse_basis = true) const;
+                                  bool allow_deficit) const;
 
  private:
   /// LP row provenance for dual/Farkas extraction: which resource each

@@ -68,7 +68,6 @@ class RngStream {
   bool flip(double p_true);
 
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
-  std::mt19937_64& engine() { return engine_; }
 
  private:
   std::mt19937_64 engine_;

@@ -8,6 +8,25 @@ namespace ovnes::solver {
 
 using std::size_t;
 
+namespace {
+
+/// Singularity threshold during factorize(), applied relative to each
+/// column's largest magnitude.
+constexpr double kPivotTol = 1e-9;
+/// Threshold-Markowitz pivoting: a row is an eligible pivot when its
+/// magnitude is at least this fraction of the column's largest eliminated
+/// magnitude; among eligible rows the sparsest (fewest basis nonzeros)
+/// wins. 1.0 would degenerate to partial pivoting (stablest, most fill);
+/// smaller values trade a bounded element-growth risk for sparsity.
+constexpr double kMarkowitzTol = 0.1;
+/// update() declines (forcing refactorization) when the pivot is smaller
+/// than this fraction of ‖w‖∞.
+constexpr double kStabilityTol = 1e-8;
+/// Eta entries below this magnitude are dropped.
+constexpr double kEtaDropTol = 1e-12;
+
+}  // namespace
+
 bool BasisLu::factorize(const std::vector<std::vector<double>>& cols) {
   SparseMatrix b;
   b.clear(static_cast<int>(cols.size()));
@@ -67,7 +86,7 @@ bool BasisLu::factorize(const SparseMatrix& basis) {
   });
 
   double fill = 0.0;
-  if (!eliminate(basis, order, opts_.markowitz_tol, &fill)) return false;
+  if (!eliminate(basis, order, kMarkowitzTol, &fill)) return false;
   if (fill > opts_.max_fill_ratio && m_ > 1) {
     // Fill blowup: re-order instead of silently keeping densified factors.
     // Second attempt orders columns by the static Markowitz product
@@ -92,7 +111,7 @@ bool BasisLu::factorize(const SparseMatrix& basis) {
       return product[static_cast<size_t>(a)] < product[static_cast<size_t>(b)];
     });
     double refill = 0.0;
-    if (!eliminate(basis, order, 0.1 * opts_.markowitz_tol, &refill)) {
+    if (!eliminate(basis, order, 0.1 * kMarkowitzTol, &refill)) {
       return false;
     }
     fill = refill;
@@ -189,7 +208,7 @@ bool BasisLu::eliminate(const SparseMatrix& basis,
       }
     }
     const double scale = colscale_[static_cast<size_t>(j)];
-    if (scale == 0.0 || colmax <= opts_.pivot_tol * scale) {
+    if (scale == 0.0 || colmax <= kPivotTol * scale) {
       // Singular (or empty) column: clean the workspace and give up.
       for (const int i : topo_) {
         mark_[static_cast<size_t>(i)] = 0;
@@ -198,7 +217,7 @@ bool BasisLu::eliminate(const SparseMatrix& basis,
       return false;
     }
     const double threshold =
-        std::max(tau * colmax, opts_.pivot_tol * scale);
+        std::max(tau * colmax, kPivotTol * scale);
     int piv_row = -1;
     int piv_count = m_ + 1;
     double piv_mag = 0.0;
@@ -377,14 +396,14 @@ bool BasisLu::update(const std::vector<double>& w, int leaving_row) {
   for (const double x : w) wmax = std::max(wmax, std::abs(x));
   // A pivot tiny relative to the rest of the eta column would amplify
   // round-off on every subsequent ftran/btran; refactorize instead.
-  if (std::abs(piv) <= opts_.stability_tol * std::max(1.0, wmax)) return false;
+  if (std::abs(piv) <= kStabilityTol * std::max(1.0, wmax)) return false;
   Update u;
   u.kind = Update::Kind::Eta;
   u.row = leaving_row;
   u.pivot = piv;
   for (size_t i = 0; i < w.size(); ++i) {
     if (static_cast<int>(i) == leaving_row) continue;
-    if (std::abs(w[i]) > opts_.eta_drop_tol) {
+    if (std::abs(w[i]) > kEtaDropTol) {
       u.col.emplace_back(static_cast<int>(i), w[i]);
     }
   }

@@ -19,7 +19,7 @@
 // updates. Columns are eliminated singletons-first (a slack-heavy Benders
 // master basis is mostly free), each column's pattern is predicted by a
 // depth-first reach over the partially built L, and the row pivot is the
-// sparsest row whose magnitude clears `markowitz_tol` relative to the
+// sparsest row whose magnitude clears `kMarkowitzTol` relative to the
 // column — so factorization and the triangular solves cost O(nnz + fill),
 // not O(m³)/O(m²). FTRAN and BTRAN sweep the stored factors (and their
 // transposes) column-wise and skip columns whose solution entry is exactly
@@ -47,27 +47,14 @@
 
 namespace ovnes::solver {
 
-/// \brief Tuning knobs of the basis factorization.
+/// \brief Tuning knobs of the basis factorization. The pivot thresholds
+/// (singularity, threshold-Markowitz, update stability, eta drop) are
+/// fixed constants in basis_lu.cpp.
 struct BasisKernelOptions {
-  /// Singularity threshold during factorize(), applied relative to each
-  /// column's largest magnitude.
-  double pivot_tol = 1e-9;
   /// Refactorize after this many product-form updates. Bordered appends
   /// (append_row) count against the same budget — each one adds the same
   /// O(nnz) term to every subsequent ftran/btran an eta does.
   int max_etas = 64;
-  /// Eta entries below this magnitude are dropped.
-  double eta_drop_tol = 1e-12;
-  /// Decline update() (forcing refactorization) when the pivot is smaller
-  /// than this fraction of ‖w‖∞.
-  double stability_tol = 1e-8;
-  /// Threshold-Markowitz pivoting. A row is an eligible pivot when
-  /// its magnitude is at least this fraction of the column's largest
-  /// eliminated magnitude; among eligible rows the sparsest (fewest basis
-  /// nonzeros) wins. 1.0 degenerates to partial pivoting (stablest, most
-  /// fill), smaller values trade a bounded element-growth risk for
-  /// sparsity.
-  double markowitz_tol = 0.1;
   /// When nnz(L+U)/nnz(B) exceeds this after a factorization, the
   /// kernel re-orders (Markowitz-product column order, looser threshold)
   /// and refactorizes instead of keeping the densified factors.

@@ -19,14 +19,14 @@ const char* to_string(BranchRule r) {
 }
 
 std::vector<BranchCandidate> fractional_candidates(
-    const LpModel& model, const std::vector<int>& int_vars, double int_tol,
+    const LpModel& model, const std::vector<int>& int_vars,
     const std::vector<double>& x) {
   std::vector<BranchCandidate> out;
   int best_prio = std::numeric_limits<int>::max();
   for (int j : int_vars) {
     const double v = x[static_cast<std::size_t>(j)];
     const double frac = v - std::floor(v);
-    if (std::min(frac, 1.0 - frac) <= int_tol) continue;
+    if (std::min(frac, 1.0 - frac) <= kIntTol) continue;
     const int prio = model.variable(j).branch_priority;
     if (prio > best_prio) continue;
     if (prio < best_prio) {

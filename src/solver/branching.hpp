@@ -36,11 +36,15 @@ enum class BranchRule {
 
 [[nodiscard]] const char* to_string(BranchRule r);
 
+/// Integrality tolerance of branch-and-bound and its heuristics: an
+/// integer variable within this distance of an integer counts as integral.
+inline constexpr double kIntTol = 1e-6;
+
 /// \brief One fractional branching candidate at an LP-optimal point.
 struct BranchCandidate {
   int var = -1;
   double value = 0.0;  ///< LP value
-  double frac = 0.0;   ///< value - floor(value), in (int_tol, 1 - int_tol)
+  double frac = 0.0;   ///< value - floor(value), in (kIntTol, 1 - kIntTol)
   /// min(frac, 1 - frac): distance to the nearest integer, the
   /// most-fractional rule's score and every rule's final tie-break.
   [[nodiscard]] double dist() const { return frac < 0.5 ? frac : 1.0 - frac; }
@@ -52,7 +56,7 @@ struct BranchCandidate {
 /// set, so priority semantics (the tenant-acceptance dichotomy) are
 /// rule-independent.
 [[nodiscard]] std::vector<BranchCandidate> fractional_candidates(
-    const LpModel& model, const std::vector<int>& int_vars, double int_tol,
+    const LpModel& model, const std::vector<int>& int_vars,
     const std::vector<double>& x);
 
 /// \brief Per-variable up/down pseudocosts: mean observed LP bound

@@ -12,6 +12,8 @@ namespace {
 // scale. Two separations of the same slave dual reproduce coefficients to
 // round-off, not bit-exactly, so equality is banded.
 constexpr double kCoefTol = 1e-9;
+/// violated_at: violation below this is noise, not a cut worth returning.
+constexpr double kViolationTol = 1e-7;
 
 std::uint64_t hash_mix(std::uint64_t h, std::uint64_t v) {
   // splitmix64 round — cheap, good avalanche for the small key streams here.
@@ -126,7 +128,7 @@ std::vector<Rowdef> CutPool::violated_at(const std::vector<double>& x) {
     const double viol = e.row.sense == RowSense::Equal
                             ? std::abs(lhs - e.row.rhs)
                             : lhs - e.row.rhs;
-    if (viol > opts_.violation_tol) {
+    if (viol > kViolationTol) {
       out.push_back(e.row);
       ++e.activity;
       e.idle_rounds = 0;

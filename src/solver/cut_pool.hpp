@@ -47,8 +47,6 @@ class CutPool {
     /// Rounds a row may stay idle (never violated / never re-added)
     /// before eviction may take it, once the pool is over capacity.
     int max_idle_rounds = 8;
-    /// Violation below this is noise, not a cut worth returning.
-    double violation_tol = 1e-7;
   };
 
   struct Stats {
@@ -70,7 +68,7 @@ class CutPool {
   /// is admitted and the dominated row is evicted from the active set.
   bool add(Rowdef row);
 
-  /// Rows violated by more than `Options::violation_tol` at `x` (indexed
+  /// Rows violated by more than a 1e-7 noise floor at `x` (indexed
   /// by model variable; missing tail treated as 0). Bumps each hit's
   /// activity. Evicted rows stay out of the scan by design —
   /// re-separation re-adds them through add(), which is the

@@ -65,7 +65,7 @@ SubDiveResult fix_and_dive(LpSession& sess, const std::vector<int>& int_vars,
 
     if (!dead) {
       const std::vector<BranchCandidate> cands = fractional_candidates(
-          sess.model(), int_vars, opts.int_tol, lp->x);
+          sess.model(), int_vars, lp->x);
       if (cands.empty()) {
         // Integral candidate below the cutoff: acceptance gate, then done.
         if (gate != nullptr) {
@@ -143,13 +143,13 @@ SubDiveResult fix_and_dive(LpSession& sess, const std::vector<int>& int_vars,
 }
 
 long rens_restrict(LpSession& sess, const std::vector<int>& int_vars,
-                   const std::vector<double>& x, double int_tol) {
+                   const std::vector<double>& x) {
   long fixed = 0;
   for (int j : int_vars) {
     const double v = x[static_cast<std::size_t>(j)];
     const double r = std::round(v);
     const auto& var = sess.model().variable(j);
-    if (std::abs(v - r) <= int_tol) {
+    if (std::abs(v - r) <= kIntTol) {
       const double pin = std::clamp(r, var.lower, var.upper);
       sess.set_bounds(j, pin, pin);
       ++fixed;

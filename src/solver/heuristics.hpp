@@ -51,12 +51,11 @@ using AcceptGate = std::function<GateVerdict(const LpResult&)>;
 
 struct SubDiveOptions {
   long max_lp_solves = 400;  ///< hard LP budget for the whole sub-search
-  double int_tol = 1e-6;
   /// Only solutions with objective strictly below this are interesting;
   /// LP bounds at or above it prune immediately (incumbent cutoff).
   double cutoff = kInf;
-  int max_gate_rounds = 64;  ///< acceptance-gate budget (mirrors
-                             ///< MilpOptions::max_separation_rounds)
+  int max_gate_rounds = 64;  ///< acceptance-gate budget (branch-and-bound
+                             ///< passes its per-node separation budget)
   /// External stop condition (global node/time limits); polled before
   /// every LP solve.
   std::function<bool()> should_stop;
@@ -85,11 +84,11 @@ struct SubDiveResult {
                                          const AcceptGate* gate = nullptr);
 
 /// Apply the RENS restriction for root LP point `x` inside the caller's
-/// open frame: integer variables within `int_tol` of an integer are fixed
+/// open frame: integer variables within kIntTol of an integer are fixed
 /// to it; the rest shrink to [floor(x_j), ceil(x_j)]. Returns how many
 /// variables were hard-fixed.
 long rens_restrict(LpSession& sess, const std::vector<int>& int_vars,
-                   const std::vector<double>& x, double int_tol);
+                   const std::vector<double>& x);
 
 /// Apply an LNS restriction inside the caller's open frame: each integer
 /// variable is fixed to its (rounded) incumbent value unless selected into

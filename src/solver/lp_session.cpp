@@ -6,17 +6,10 @@
 namespace ovnes::solver {
 
 LpSession::LpSession(LpModel model, SimplexOptions opts)
-    : model_(std::move(model)), opts_(opts) {
-  // Dual-simplex dispatch is the session's raison d'être; plain solve_lp
-  // callers that want the PR 3 primal-only behaviour get it through the
-  // wrappers below, which forward their own allow_dual setting.
-  opts_.allow_dual = true;
-}
+    : model_(std::move(model)), opts_(opts) {}
 
 LpSession LpSession::borrow(const LpModel& model, SimplexOptions opts) {
   LpSession s(LpModel{}, opts);
-  s.opts_ = opts;  // undo the ctor's allow_dual override: wrappers forward
-                   // the caller's exact options, PR 3 behaviour included
   s.borrowed_ = &model;
   return s;
 }
@@ -166,9 +159,8 @@ const LpResult& LpSession::solve() {
 
 // ---------------------------------------------------------------------
 // solve_lp compatibility wrappers: one throwaway *borrowed* session per
-// call (no model copy), with the caller's exact options (allow_dual
-// included — off by default, so pre-session callers keep the primal
-// repair path they were tuned on).
+// call (no model copy) with the caller's options; a warm basis takes the
+// same dual-simplex dispatch as a session re-solve.
 
 LpResult solve_lp(const LpModel& model, const SimplexOptions& opts) {
   LpSession session = LpSession::borrow(model, opts);

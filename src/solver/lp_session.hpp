@@ -3,8 +3,8 @@
 // The orchestrator lives on *re-solves*: every Benders iteration appends a
 // cut or two to the master and every branch-and-bound node flips a pair of
 // variable bounds. The stateless solve_lp(model, opts, warm) entry re-loads
-// the model and re-checks the basis on every call, and always restores
-// primal feasibility through the artificial-repair Phase 1. LpSession is
+// the model, rebuilds its column view and refactorizes the warm basis on
+// every call; nothing carries over to the next call. LpSession is
 // the production-engine shape instead (CPLEX/soplex-style): construct once
 // from an LpModel, mutate through typed deltas, and call solve() — the
 // incumbent basis stays live across calls and the cheapest re-solve
@@ -81,8 +81,7 @@ using SharedBasis = std::shared_ptr<const Basis>;
 class LpSession {
  public:
   /// Take ownership of `model` (move in; pass a copy to keep the
-  /// original). Dual-simplex dispatch (SimplexOptions::allow_dual) is
-  /// always enabled — it is the point of holding a session.
+  /// original).
   explicit LpSession(LpModel model, SimplexOptions opts = {});
 
   /// Non-owning one-shot session over a caller's model: no copy, but the

@@ -51,6 +51,17 @@ double MilpResult::gap() const {
 
 namespace {
 
+/// Per-probe LP pivot cap of a strong-branching probe; a truncated dual
+/// probe still yields a valid degradation lower bound.
+constexpr int kStrongProbeIterations = 200;
+/// Fractional root separation rounds under MilpOptions::benders_lp_cuts.
+constexpr int kMaxLpCutRounds = 8;
+/// Integral-candidate separation rounds per node (and per heuristic dive);
+/// hitting it drops the node conservatively.
+constexpr int kMaxSeparationRounds = 64;
+/// Fraction of integer variables freed ("destroyed") per LNS episode.
+constexpr double kLnsDestroyFraction = 0.25;
+
 /// OVNES_MILP_DEBUG, read once per process.
 bool milp_debug() {
   static const bool on = std::getenv("OVNES_MILP_DEBUG") != nullptr;
@@ -105,7 +116,7 @@ struct BnbShared {
   std::vector<int> int_vars;
   std::chrono::steady_clock::time_point t0;
   /// Warm handle for the root node (and the dive): the caller session's
-  /// incumbent basis, or a shared copy of MilpOptions::warm_start.
+  /// incumbent basis; null on the stateless overload.
   SharedBasis root_warm;
   /// The solve's cut pool, shared by its lanes; non-null iff
   /// opts.lazy_cuts is set.
@@ -145,7 +156,6 @@ struct BnbShared {
   bool unbounded = false;
   bool root_solved = false;
   double root_bound = -kInf;
-  Basis root_basis;
   /// First exception thrown by any lane; rethrown from run(). A throwing
   /// lane also sets `done` so every other lane winds down promptly.
   std::exception_ptr error;
@@ -174,7 +184,7 @@ struct BnbShared {
 /// Most fractional variable within the best (lowest) priority class that
 /// has any fractional member; -1 when integral.
 int pick_branch_var(const LpModel& base, const std::vector<int>& int_vars,
-                    double int_tol, const std::vector<double>& x) {
+                    const std::vector<double>& x) {
   int best = -1;
   int best_prio = std::numeric_limits<int>::max();
   double best_frac_dist = 0.0;
@@ -182,7 +192,7 @@ int pick_branch_var(const LpModel& base, const std::vector<int>& int_vars,
     const double v = x[static_cast<size_t>(j)];
     const double frac = v - std::floor(v);
     const double dist = std::min(frac, 1.0 - frac);
-    if (dist <= int_tol) continue;
+    if (dist <= kIntTol) continue;
     const int prio = base.variable(j).branch_priority;
     if (prio < best_prio || (prio == best_prio && dist > best_frac_dist)) {
       best_prio = prio;
@@ -266,10 +276,10 @@ int choose_branch(BnbShared& sh, const LpModel& node_model, const LpResult& lp,
                   const SharedBasis& warm, long& probe_iters) {
   const MilpOptions& opts = sh.opts;
   if (opts.branching != BranchRule::Pseudocost) {
-    return pick_branch_var(*sh.base, sh.int_vars, opts.int_tol, lp.x);
+    return pick_branch_var(*sh.base, sh.int_vars, lp.x);
   }
   const std::vector<BranchCandidate> cands =
-      fractional_candidates(*sh.base, sh.int_vars, opts.int_tol, lp.x);
+      fractional_candidates(*sh.base, sh.int_vars, lp.x);
   if (cands.empty()) return -1;
   if (cands.size() == 1) return cands[0].var;  // nothing to rank
 
@@ -288,9 +298,8 @@ int choose_branch(BnbShared& sh, const LpModel& node_model, const LpResult& lp,
   }
   if (!to_probe.empty()) {
     SimplexOptions probe_lp = opts.lp;
-    probe_lp.allow_dual = true;
     probe_lp.keep_factors = false;
-    probe_lp.max_iterations = opts.strong_probe_iterations;
+    probe_lp.max_iterations = kStrongProbeIterations;
     std::vector<ProbeOutcome> out(to_probe.size());
     const Basis* warm_ptr = warm != nullptr ? warm.get() : nullptr;
     const auto probe_one = [&](std::size_t k) {
@@ -401,9 +410,8 @@ bool run_heuristic_dive(BnbShared& sh, LpSession& sess, double cutoff) {
     return GateVerdict::Reject;
   };
   SubDiveOptions dopts;
-  dopts.int_tol = opts.int_tol;
   dopts.cutoff = cutoff;
-  dopts.max_gate_rounds = opts.max_separation_rounds;
+  dopts.max_gate_rounds = kMaxSeparationRounds;
   {
     std::lock_guard<std::mutex> lk(sh.mu);
     dopts.max_lp_solves =
@@ -467,7 +475,7 @@ void lns_episode(BnbShared& sh, std::optional<LpSession>& sess,
                         .derive("lns", static_cast<std::uint64_t>(run_idx));
     sess->push();
     lns_restrict(*sess, sh.int_vars, incumbent,
-                 [&](int) { return rng.flip(opts.lns_destroy_fraction); });
+                 [&](int) { return rng.flip(kLnsDestroyFraction); });
     run_heuristic_dive(sh, *sess, cutoff);
     sess->pop();
   } catch (...) {
@@ -558,10 +566,11 @@ bool evaluate_node(BnbShared& sh, Node& node,
   sess->set_warm_basis(node.warm);
   const LpResult* lp_ptr = &sess->solve();
   if (lp_ptr->status == LpStatus::InvalidBasis) {
-    // Defensive: a stale externally supplied warm basis (only reachable
-    // via MilpOptions::warm_start) must not kill the node — drop it and
-    // re-solve cold, matching the pre-session silent-fallback contract for
-    // the tree search (plain solve_lp callers get the error).
+    // Safety net: a node's warm handle is its parent's snapshot, taken on
+    // whichever lane evaluated the parent and possibly over in-frame
+    // separation rows this lane's model does not carry. A basis that
+    // references rows beyond this model must not kill the node — drop it
+    // and re-solve cold (plain solve_lp callers get the error instead).
     sess->clear_basis();
     lp_ptr = &sess->solve();
   }
@@ -612,7 +621,7 @@ bool evaluate_node(BnbShared& sh, Node& node,
     // Fractional root rounds (SCIP's benderslp idea): tighten the root
     // bound with callback cuts before any branching happens.
     if (opts.benders_lp_cuts && node.fixes.empty()) {
-      for (int round = 0; round < opts.max_lp_cut_rounds; ++round) {
+      for (int round = 0; round < kMaxLpCutRounds; ++round) {
         if (frac < 0 || lp_ptr->status != LpStatus::Optimal) break;
         if (elapsed_sec(sh.t0) > opts.time_limit_sec) break;
         SeparationStep step = separate_candidate(sh, *lp_ptr, false);
@@ -643,7 +652,7 @@ bool evaluate_node(BnbShared& sh, Node& node,
       }
       if (hopeless) break;
       if (over_budget || elapsed_sec(sh.t0) > opts.time_limit_sec ||
-          sep_rounds >= opts.max_separation_rounds) {
+          sep_rounds >= kMaxSeparationRounds) {
         sep_dropped = true;
         break;
       }
@@ -674,7 +683,6 @@ bool evaluate_node(BnbShared& sh, Node& node,
     if (!sh.root_solved && lp.status == LpStatus::Optimal) {
       sh.root_bound = lp.objective;
       sh.root_solved = true;
-      sh.root_basis = lp.basis;
     }
     if (sep_dropped) {
       // Node abandoned mid-separation (limit or certificate-less slave):
@@ -844,9 +852,6 @@ class BranchAndBound {
     if (opts_.branching == BranchRule::Pseudocost) {
       sh->pc.resize(static_cast<std::size_t>(base_.num_vars()));
     }
-    if (opts_.warm_start != nullptr && !opts_.warm_start->empty()) {
-      sh->root_warm = std::make_shared<const Basis>(*opts_.warm_start);
-    }
 
     if (session_ != nullptr) {
       // Stateful root re-solve on the caller's session: after a Benders
@@ -858,11 +863,9 @@ class BranchAndBound {
       // logic stays in one place, the lanes.
       const LpResult& root = session_->solve();
       sh->lp_iterations += root.iterations;
-      res.root_used_dual = root.used_dual_simplex;
       if (root.status == LpStatus::Optimal) {
         sh->root_solved = true;
         sh->root_bound = root.objective;
-        sh->root_basis = root.basis;
         sh->root_warm = session_->basis();
       } else if (root.status == LpStatus::Infeasible) {
         res.status = MilpStatus::Infeasible;
@@ -911,7 +914,6 @@ class BranchAndBound {
     // ---- Compose result.
     res.nodes = sh->nodes;
     res.lp_iterations = static_cast<int>(sh->lp_iterations);
-    res.root_basis = sh->root_basis;
     res.peak_open_nodes = sh->peak_open;
     static_cast<SolveStats&>(res) = sh->stats;
     if (sh->cuts != nullptr) res.cuts_evicted = sh->cuts->stats().evicted;
@@ -968,14 +970,15 @@ class BranchAndBound {
       ++sh.nodes;
       const LpResult* lp = &sess.solve();
       if (lp->status == LpStatus::InvalidBasis) {
-        // Stale MilpOptions::warm_start seed: drop it and go cold instead
-        // of silently skipping the dive (pre-session fallback behaviour).
+        // Safety net: the root handle is the caller session's basis on
+        // this very model, so this should not fire; if it does, go cold
+        // instead of silently skipping the dive.
         sess.clear_basis();
         lp = &sess.solve();
       }
       sh.lp_iterations += lp->iterations;
       if (lp->status != LpStatus::Optimal) return;  // dead end
-      const int frac = pick_branch_var(base_, int_vars_, opts_.int_tol, lp->x);
+      const int frac = pick_branch_var(base_, int_vars_, lp->x);
       if (frac < 0) {
         if (sh.cuts != nullptr) {
           // The dive seeds the incumbent, so its integral point passes the
@@ -983,7 +986,7 @@ class BranchAndBound {
           // (e.g. an under-estimated Benders theta) could wrongly prune
           // the true optimum later. Cuts land permanently in the dive
           // session (no frames here) and in the pool for the lanes.
-          if (sep_rounds >= opts_.max_separation_rounds) return;
+          if (sep_rounds >= kMaxSeparationRounds) return;
           SeparationStep s = separate_candidate(sh, *lp, true);
           sh.stats.separation_rounds += s.called ? 1 : 0;
           sh.stats.cuts_separated += s.fresh;
@@ -1049,7 +1052,7 @@ class BranchAndBound {
     if (root->status != LpStatus::Optimal) return;
     const std::vector<double> root_x = root->x;  // dive solves invalidate *root
     sess.push();
-    rens_restrict(sess, int_vars_, root_x, opts_.int_tol);
+    rens_restrict(sess, int_vars_, root_x);
     run_heuristic_dive(sh, sess, sh.incumbent);
     sess.pop();
   }

@@ -131,15 +131,6 @@ struct MilpResult : SolveStats {
   std::vector<double> x;
   long nodes = 0;
   int lp_iterations = 0;
-  /// Basis of the root LP relaxation (empty if the root never solved to
-  /// optimality). Feed it back via MilpOptions::warm_start when re-solving
-  /// the same model with appended rows; callers on the
-  /// solve_milp(LpSession&) overload get this for free — the session keeps
-  /// the root basis live between solves.
-  Basis root_basis;
-  /// True when the root LP of a session-backed solve restored feasibility
-  /// with dual simplex (the post-cut re-solve path).
-  bool root_used_dual = false;
   /// High-water mark of the open-node pool: with refcounted parent-basis
   /// handles each queued node costs O(fixes) + one shared_ptr, so this
   /// bounds the search's memory footprint (see BM_MilpBnbThroughput's
@@ -159,7 +150,6 @@ struct MilpResult : SolveStats {
 struct MilpOptions {
   long max_nodes = 200000;
   double time_limit_sec = 60.0;
-  double int_tol = 1e-6;      ///< integrality tolerance
   double gap_tol = 1e-6;      ///< relative optimality gap for early stop
   /// Run an LP-guided rounding dive at the root to seed the incumbent
   /// (fix the most fractional integer to its nearest value, re-solve,
@@ -178,9 +168,6 @@ struct MilpOptions {
   /// candidate); 0 disables strong branching — unreliable candidates fall
   /// back to the average-pseudocost estimate.
   long max_strong_probes = 2000;
-  /// Per-probe LP pivot cap (SimplexOptions::max_iterations override);
-  /// a truncated probe still yields a valid degradation lower bound.
-  int strong_probe_iterations = 200;
   // ---- Primal heuristics (solver/heuristics.hpp). Off by default for
   // the same trajectory-pinning reason; svc/ re-solves and the heuristics
   // bench cases turn them on.
@@ -193,14 +180,10 @@ struct MilpOptions {
   long heur_node_budget = 400;
   /// Re-run an LNS neighborhood search from the current incumbent every
   /// `lns_interval` nodes (0 disables). Each run fixes a deterministic
-  /// seeded subset of integers to the incumbent and dives the rest under
-  /// heur_node_budget, with the incumbent objective as cutoff.
+  /// seeded subset of integers (a quarter freed) to the incumbent and
+  /// dives the rest under heur_node_budget, with the incumbent objective
+  /// as cutoff.
   long lns_interval = 0;
-  /// Fraction of integer variables freed ("destroyed") per LNS run.
-  double lns_destroy_fraction = 0.25;
-  /// Optional warm basis for the root LP relaxation (not owned; must
-  /// outlive the solve). Child nodes always inherit their parent's basis.
-  const Basis* warm_start = nullptr;
   /// Branch-and-bound lanes: 0 picks exec::default_threads() (the
   /// OVNES_THREADS environment default), 1 is fully serial/deterministic,
   /// n > 1 evaluates up to n nodes concurrently. The parallel search
@@ -229,13 +212,11 @@ struct MilpOptions {
   /// (incumbents are separation-verified, bounds stay valid).
   LazyCutCallback lazy_cuts;
   /// Also separate *fractional* root points (SCIP's `benderslp` idea):
-  /// before branching at the root, run up to max_lp_cut_rounds callback
-  /// rounds with integral=false to tighten the root bound.
+  /// before branching at the root, run up to 8 callback rounds with
+  /// integral=false to tighten the root bound. Integral candidates get at
+  /// most 64 separation rounds per node; hitting that drops the node
+  /// conservatively (never claims Optimal past it).
   bool benders_lp_cuts = false;
-  int max_lp_cut_rounds = 8;
-  /// Guard on integral-candidate separation rounds per node; hitting it
-  /// drops the node conservatively (never claims Optimal past it).
-  int max_separation_rounds = 64;
   SimplexOptions lp;
 };
 
@@ -246,8 +227,7 @@ struct MilpOptions {
 /// the model — append cuts through it between calls — and its live basis
 /// warm-starts the root LP, which re-solves with dual simplex when the
 /// appended cuts left the incumbent basis dual-feasible. The root basis is
-/// left in the session afterwards, so the next call warm-starts without
-/// any MilpOptions::warm_start plumbing (that field is ignored here).
+/// left in the session afterwards, so the next call warm-starts from it.
 [[nodiscard]] MilpResult solve_milp(LpSession& session,
                                     const MilpOptions& opts = {});
 

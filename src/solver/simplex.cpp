@@ -27,6 +27,14 @@ namespace {
 
 enum class VarStatus : unsigned char { Basic, AtLower, AtUpper };
 
+constexpr double kFeasTol = 1e-7;   ///< primal feasibility tolerance
+constexpr double kOptTol = 1e-7;    ///< dual (reduced-cost) tolerance
+constexpr double kPivotTol = 1e-9;  ///< minimum pivot magnitude
+/// Eta budget cap of a solve without kept factors (one-shot solve_lp, B&B
+/// lanes): refactorize after at most this many product-form updates (see
+/// build_core).
+constexpr int kRefactorInterval = 64;
+
 /// OVNES_SIMPLEX_DEBUG, read once per process.
 bool simplex_debug() {
   static const bool on = std::getenv("OVNES_SIMPLEX_DEBUG") != nullptr;
@@ -128,46 +136,37 @@ class Simplex {
 
     // ---- Warm start: adopt the supplied basis when it factorizes and any
     // primal infeasibility (appended cut rows, branched bounds) is small
-    // enough to repair. With allow_dual the dual simplex restores
-    // feasibility first (the cut case: dual-feasible, primal-infeasible);
-    // otherwise — or when the dual path declines — targeted artificials
-    // plus a short Phase 1 do.
+    // enough to repair. The dual simplex restores feasibility first (the
+    // cut case: dual-feasible, primal-infeasible); when it declines,
+    // targeted artificials plus a short Phase 1 do.
     int warm_swaps = -1;
-    bool dual_done = false;
-    bool kernel_broken = false;
     if (warm_ != nullptr && !warm_->empty() && try_warm_basis(*warm_)) {
-      if (opts_.allow_dual) {
-        const int before = res.iterations;
-        switch (dual_restore(res.iterations)) {
-          case DualOutcome::Restored:
-            dual_done = true;
-            warm_swaps = 0;
-            res.used_dual_simplex = res.iterations > before;
-            // The dual loop's weights describe the restored basis; they
-            // stay carriable unless Phase 2 pivots again.
-            dse_valid_ = true;
-            break;
-          case DualOutcome::NotDualFeasible:
-            // Untouched basis (only duals were priced); hand it to the
-            // artificial-repair path with the artificials' bounds restored.
-            unfreeze_artificials();
-            break;
-          case DualOutcome::Abandoned:
-            // The dual loop may have stopped because a refactorization
-            // failed, leaving the kernel unusable; re-factorize from the
-            // (still valid, possibly dual-advanced) basis before the
-            // repair path touches it, and cold-start when even that fails.
-            unfreeze_artificials();
-            if (factorize_current_basis()) {
-              refresh_basics();
-            } else {
-              kernel_broken = true;
-            }
-            break;
-        }
-      }
-      if (!dual_done && !kernel_broken) {
-        warm_swaps = repair_infeasible_basics();
+      const int before = res.iterations;
+      switch (dual_restore(res.iterations)) {
+        case DualOutcome::Restored:
+          warm_swaps = 0;
+          res.used_dual_simplex = res.iterations > before;
+          // The dual loop's weights describe the restored basis; they
+          // stay carriable unless Phase 2 pivots again.
+          dse_valid_ = true;
+          break;
+        case DualOutcome::NotDualFeasible:
+          // Untouched basis (only duals were priced); hand it to the
+          // artificial-repair path with the artificials' bounds restored.
+          unfreeze_artificials();
+          warm_swaps = repair_infeasible_basics();
+          break;
+        case DualOutcome::Abandoned:
+          // The dual loop may have stopped because a refactorization
+          // failed, leaving the kernel unusable; re-factorize from the
+          // (still valid, possibly dual-advanced) basis before the
+          // repair path touches it, and cold-start when even that fails.
+          unfreeze_artificials();
+          if (factorize_current_basis()) {
+            refresh_basics();
+            warm_swaps = repair_infeasible_basics();
+          }
+          break;
       }
     }
     const bool warm_ok = warm_swaps >= 0;
@@ -198,9 +197,9 @@ class Simplex {
       }
       if (debug_) {
         std::fprintf(stderr, "PHASE1 end: status=%d infeas=%g tol=%g\n", (int)p1,
-                     infeas, opts_.feas_tol);
+                     infeas, kFeasTol);
       }
-      if (infeas > opts_.feas_tol) {
+      if (infeas > kFeasTol) {
         res.status = LpStatus::Infeasible;
         compute_duals();
         res.farkas_ray.assign(static_cast<size_t>(m_), 0.0);
@@ -332,20 +331,17 @@ class Simplex {
     basis_.resize(static_cast<size_t>(m_));
     xb_.resize(static_cast<size_t>(m_));
     BasisKernelOptions kopts;
-    kopts.pivot_tol = opts_.pivot_tol;
-    kopts.markowitz_tol = opts_.markowitz_tol;
-    kopts.max_fill_ratio = opts_.max_fill_ratio;
     // Eta budget: refactorizing costs O(m^3)/k amortized while each eta adds
     // O(m) to every ftran/btran, so the break-even file length grows with m
-    // (~m/2). Capping by refactor_interval bounds drift on large bases;
+    // (~m/2). Capping by kRefactorInterval bounds drift on large bases;
     // scaling down for small ones keeps tiny LPs (B&B nodes) cheap.
     kopts.max_etas =
-        std::min(std::max(1, opts_.refactor_interval), std::max(8, m_ / 2));
+        std::min(kRefactorInterval, std::max(8, m_ / 2));
     if (kept_ != nullptr) {
       // Kept-kernel sessions amortize refactorizations across solves, so
       // the update file gets the full break-even budget (~m/2, where the
       // per-pivot drag of one more eta equals the amortized O(m³/3)
-      // refactorization) instead of the per-solve refactor_interval cap —
+      // refactorization) instead of the per-solve kRefactorInterval cap —
       // short cut-round re-solves then run refactorization-free.
       kopts.max_etas = std::max(kopts.max_etas, std::max(8, m_ / 2));
     }
@@ -539,7 +535,7 @@ class Simplex {
   /// (Re)factorize the kernel from the given column set, staged in CSC
   /// form (O(nnz(B)) — no dense m×m buffer on the refactorization path).
   /// The staging matrix is reused across calls: cold starts and
-  /// refactorizations happen once per ~refactor_interval pivots and must
+  /// refactorizations happen once per ~kRefactorInterval pivots and must
   /// not churn the allocator.
   [[nodiscard]] bool factorize_columns(const std::vector<int>& cand) {
     bbuf_.clear(m_);
@@ -576,7 +572,7 @@ class Simplex {
     int swaps = 0;
     for (int guard = 0; guard < 2 * m_ + 4; ++guard) {
       int worst = -1;
-      double worst_v = opts_.feas_tol;
+      double worst_v = kFeasTol;
       bool below = false;
       for (int i = 0; i < m_; ++i) {
         const int bv = basis_[static_cast<size_t>(i)];
@@ -602,7 +598,7 @@ class Simplex {
       w_[static_cast<size_t>(worst)] = 1.0;
       kernel_.btran(w_);
       int r = -1;
-      double mag = opts_.pivot_tol;
+      double mag = kPivotTol;
       for (int rr = 0; rr < m_; ++rr) {
         if (status_[static_cast<size_t>(n_ + m_ + rr)] == VarStatus::Basic) continue;
         const double v = std::abs(w_[static_cast<size_t>(rr)]);
@@ -717,8 +713,8 @@ class Simplex {
                   : y_[static_cast<size_t>(j - n_)]);
       dvals_[static_cast<size_t>(j)] = d;
       if (status_[static_cast<size_t>(j)] == VarStatus::AtLower
-              ? d < -opts_.opt_tol
-              : d > opts_.opt_tol) {
+              ? d < -kOptTol
+              : d > kOptTol) {
         return DualOutcome::NotDualFeasible;
       }
     }
@@ -777,7 +773,7 @@ class Simplex {
         const double lo_v = lower(bv) - xb_[static_cast<size_t>(i)];
         const double hi_v = xb_[static_cast<size_t>(i)] - upper(bv);
         const double viol = std::max(lo_v, hi_v);
-        if (viol <= opts_.feas_tol) continue;
+        if (viol <= kFeasTol) continue;
         const double score = viol * viol / dse_[static_cast<size_t>(i)];
         if (score > best_score) {
           best_score = score;
@@ -823,7 +819,7 @@ class Simplex {
       const auto consider = [&](int j, double alpha) {
         if (status_[static_cast<size_t>(j)] == VarStatus::Basic) return;
         if (lower(j) == upper(j)) return;
-        if (std::abs(alpha) <= opts_.pivot_tol) return;
+        if (std::abs(alpha) <= kPivotTol) return;
         // Every nonbasic with a live pivot-row entry joins the d-update
         // set, eligible for entering or not: its reduced cost moves either
         // way when y steps along rho_.
@@ -834,7 +830,7 @@ class Simplex {
         // x_B[r] changes by -alpha*dir*t with t >= 0: require an increase
         // when below the lower bound, a decrease when above the upper.
         const double eff = alpha * dir;
-        if (below ? eff >= -opts_.pivot_tol : eff <= opts_.pivot_tol) {
+        if (below ? eff >= -kPivotTol : eff <= kPivotTol) {
           return;
         }
         if (bland) {  // first (smallest) eligible index
@@ -872,7 +868,7 @@ class Simplex {
       load_column(q, w_);
       kernel_.ftran(w_);
       const double piv = w_[static_cast<size_t>(r)];
-      if (std::abs(piv) <= opts_.pivot_tol) {
+      if (std::abs(piv) <= kPivotTol) {
         // The rho-based pricing and the FTRAN disagree on the pivot:
         // factorization drift. Refactorize and retry the row — once. A
         // retry never pivots, so fresh factors of the same basis rebuild
@@ -891,7 +887,7 @@ class Simplex {
       double t = (xb_[static_cast<size_t>(r)] - target) / (piv * dirq);
       if (!(t > 0.0)) t = 0.0;  // degenerate step (roundoff guard)
 
-      if (t <= opts_.feas_tol) {
+      if (t <= kFeasTol) {
         if (++degenerate_streak > 2 * (m_ + 1)) bland = true;
       } else {
         degenerate_streak = 0;
@@ -1037,7 +1033,7 @@ class Simplex {
 
       // --- Pricing.
       int q = -1;
-      double best_score = opts_.opt_tol;
+      double best_score = kOptTol;
       const int total = n_ + 2 * m_;
       for (int j = 0; j < total; ++j) {
         const VarStatus st = status_[static_cast<size_t>(j)];
@@ -1052,8 +1048,8 @@ class Simplex {
                  : y_[static_cast<size_t>(j - n_ - m_)] *
                        art_sign_[static_cast<size_t>(j - n_ - m_)]);
         double score = 0.0;
-        if (st == VarStatus::AtLower && d < -opts_.opt_tol) score = -d;
-        else if (st == VarStatus::AtUpper && d > opts_.opt_tol) score = d;
+        if (st == VarStatus::AtLower && d < -kOptTol) score = -d;
+        else if (st == VarStatus::AtUpper && d > kOptTol) score = d;
         else continue;
         if (bland) { q = j; break; }           // first eligible index
         if (score > best_score) { best_score = score; q = j; }
@@ -1088,7 +1084,7 @@ class Simplex {
       for (int i = 0; i < m_; ++i) {
         const double wd = dir * w_[static_cast<size_t>(i)];
         const int bv = basis_[static_cast<size_t>(i)];
-        if (wd > opts_.pivot_tol) {  // basic decreases toward its lower bound
+        if (wd > kPivotTol) {  // basic decreases toward its lower bound
           if (std::isfinite(lower(bv))) {
             const double t = (xb_[static_cast<size_t>(i)] - lower(bv)) / wd;
             if (t < t_max - 1e-12 ||
@@ -1098,7 +1094,7 @@ class Simplex {
               leave_to = VarStatus::AtLower;
             }
           }
-        } else if (wd < -opts_.pivot_tol) {  // basic increases toward upper
+        } else if (wd < -kPivotTol) {  // basic increases toward upper
           if (std::isfinite(upper(bv))) {
             const double t = (upper(bv) - xb_[static_cast<size_t>(i)]) / (-wd);
             if (t < t_max - 1e-12 ||
@@ -1113,7 +1109,7 @@ class Simplex {
       if (!std::isfinite(t_max)) return LpStatus::Unbounded;
 
       // Anti-cycling bookkeeping.
-      if (t_max <= opts_.feas_tol) {
+      if (t_max <= kFeasTol) {
         if (++degenerate_streak > 2 * (m_ + 1)) bland = true;
       } else {
         degenerate_streak = 0;
@@ -1139,7 +1135,7 @@ class Simplex {
       // declines — eta file full or pivot too small relative to
       // ||w||_inf — refactorize from the updated basis columns instead.
       const double piv = w_[static_cast<size_t>(leave)];
-      if (std::abs(piv) < opts_.pivot_tol) return LpStatus::IterationLimit;
+      if (std::abs(piv) < kPivotTol) return LpStatus::IterationLimit;
       const int leaving_var = basis_[static_cast<size_t>(leave)];
       status_[static_cast<size_t>(leaving_var)] = leave_to;
       basis_[static_cast<size_t>(leave)] = q;

@@ -74,8 +74,8 @@ struct LpResult {
   /// True when a supplied warm basis was accepted (possibly after repair)
   /// instead of the artificial cold start.
   bool used_warm_start = false;
-  /// True when primal feasibility was restored by the dual simplex
-  /// (SimplexOptions::allow_dual) instead of the artificial-repair Phase 1.
+  /// True when primal feasibility was restored by dual simplex pivots
+  /// instead of the artificial-repair Phase 1.
   bool used_dual_simplex = false;
   /// True when the solve adopted a live factorization kept from a previous
   /// solve (BasisFactors) instead of refactorizing from basis statuses —
@@ -98,40 +98,17 @@ struct LpResult {
 
 /// \brief Tuning knobs for the revised simplex and its re-solve paths.
 ///
-/// The defaults are what the stateless solve_lp entry points use;
-/// LpSession additionally turns on allow_dual (dual-simplex dispatch is
-/// the point of holding a session). keep_factors only matters for
-/// re-solving callers.
+/// A warm basis that is primal-infeasible (a violated cut row, a branched
+/// bound) but dual-feasible is always restored by dual simplex pivots,
+/// priced by dual steepest edge (violation²/β with β ≈ ‖eᵣᵀB⁻¹‖², kept in
+/// the Forrest–Goldfarb reference-weight approximation); a re-solve that
+/// adopts kept factors resumes from the weights the previous solve handed
+/// back (BasisFactors::dse_weights). Any other warm basis is repaired with
+/// targeted artificials and a short Phase 1. The tolerances and the eta
+/// budget are fixed constants of the engine (simplex.cpp, basis_lu.cpp).
 struct SimplexOptions {
   int max_iterations = 50000;
-  double feas_tol = 1e-7;    ///< primal feasibility tolerance
-  double opt_tol = 1e-7;     ///< dual (reduced-cost) tolerance
-  double pivot_tol = 1e-9;   ///< minimum pivot magnitude
   int refresh_interval = 64; ///< recompute x_B from scratch every N pivots
-  /// LU kernel: refactorize after this many product-form (eta) updates.
-  int refactor_interval = 64;
-  /// When a warm basis is adopted but primal-infeasible (a violated cut
-  /// row, a branched bound) AND still dual-feasible, restore feasibility
-  /// with dual simplex pivots instead of the artificial-repair Phase 1.
-  /// Each dual pivot makes progress on the true objective, so cut
-  /// re-solves converge in far fewer iterations. Off by default for the
-  /// plain solve_lp entry points (PR 3 behaviour); LpSession turns it on.
-  ///
-  /// The dual loop prices the leaving row by dual steepest edge —
-  /// violation²/β with β ≈ ‖eᵣᵀB⁻¹‖² maintained per pivot in the
-  /// Forrest–Goldfarb reference-weight (Devex) approximation — and keeps
-  /// duals/reduced costs incrementally. A re-solve that adopts kept
-  /// factors resumes from the weights the previous solve handed back
-  /// (BasisFactors::dse_weights).
-  bool allow_dual = false;
-  /// BasisLu: threshold-Markowitz pivot tolerance — a row qualifies as a
-  /// pivot when its magnitude is at least this fraction of its column's
-  /// largest; among qualifiers the sparsest row wins (fill control).
-  double markowitz_tol = 0.1;
-  /// BasisLu: nnz(L+U)/nnz(B) ratio above which a factorization re-orders
-  /// (Markowitz-product column order, looser threshold) instead of keeping
-  /// densified factors.
-  double max_fill_ratio = 16.0;
   /// LpSession only: keep the basis factorization alive across solves
   /// (BasisFactors). A re-solve whose warm basis matches the kept factors
   /// adopts them verbatim — bound-only deltas pivot straight away, and
@@ -155,9 +132,9 @@ struct SimplexOptions {
 /// related model — same structural variables, possibly appended rows or
 /// tightened bounds). When the basis factorizes and is primal-feasible the
 /// solve goes straight to Phase 2; small infeasibilities (a violated cut
-/// row, a branched variable pushed off its value) are repaired with
-/// targeted artificials and a short Phase 1 (or, with
-/// SimplexOptions::allow_dual, by dual simplex pivots). Falls back to a
+/// row, a branched variable pushed off its value) are restored by dual
+/// simplex pivots while the basis stays dual-feasible, and otherwise
+/// repaired with targeted artificials and a short Phase 1. Falls back to a
 /// cold start when `warm` is null, empty, lacks rows/vars the model has
 /// since grown, or is singular; returns LpStatus::InvalidBasis when `warm`
 /// references rows or variables beyond the model's current dimensions.

@@ -374,87 +374,6 @@ TEST_P(BendersRandomTest, MatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(RandomInstances, BendersRandomTest,
                          ::testing::Range(0, 25));
 
-// Shared generator for the two warm-start regression suites below. RNG
-// draws go through named locals so the instance is identical across
-// compilers (function-argument evaluation order is unspecified).
-struct WarmStartCase {
-  Fixture fixture;
-  std::vector<TenantModel> tenants;
-};
-
-WarmStartCase make_warmstart_case(int seed) {
-  RngStream rng(static_cast<uint64_t>(seed) * 509 + 3);
-  const double edge = rng.uniform(20.0, 60.0);
-  const double core = rng.uniform(60.0, 300.0);
-  const double link_cap = rng.uniform(150.0, 800.0);
-  WarmStartCase c{Fixture(/*num_bs=*/2, edge, core, link_cap), {}};
-  const int n = static_cast<int>(rng.uniform_int(3, 6));
-  for (int i = 0; i < n; ++i) {
-    const auto type = static_cast<SliceType>(rng.uniform_int(0, 2));
-    const auto tmpl = slice::standard_template(type);
-    const double lambda_hat = rng.uniform(0.1, 1.0) * tmpl.sla_rate;
-    const double sigma_hat = rng.uniform(0.05, 0.9);
-    const auto duration = static_cast<std::size_t>(rng.uniform_int(5, 40));
-    const double penalty = rng.uniform(0.5, 8.0);
-    c.tenants.push_back(make_tenant(static_cast<std::uint32_t>(i), type,
-                                    lambda_hat, sigma_hat, duration, penalty));
-  }
-  return c;
-}
-
-// Warm starting reuses simplex bases only, so the converged objective and
-// bound must be unaffected on every instance. The master iteration count is
-// additionally pinned on instances whose master optimum is unique: under
-// degeneracy a warm-started LP may legitimately return a different optimal
-// vertex, reordering the (equally valid) cut sequence by an iteration, so
-// tied seeds are excluded from the strict count regression below.
-class BendersWarmStartTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(BendersWarmStartTest, IterationCountUnchangedByWarmStart) {
-  const WarmStartCase c = make_warmstart_case(GetParam());
-  const AcrrInstance inst = c.fixture.instance(c.tenants);
-
-  BendersOptions warm_opts;
-  warm_opts.warm_start = true;
-  BendersOptions cold_opts;
-  cold_opts.warm_start = false;
-  const AdmissionResult warm = solve_benders(inst, warm_opts);
-  const AdmissionResult cold = solve_benders(inst, cold_opts);
-
-  EXPECT_EQ(warm.iterations, cold.iterations);
-  EXPECT_EQ(warm.optimal, cold.optimal);
-  EXPECT_NEAR(warm.objective, cold.objective,
-              1e-7 * (1.0 + std::abs(cold.objective)));
-  EXPECT_NEAR(warm.bound, cold.bound, 1e-7 * (1.0 + std::abs(cold.bound)));
-}
-
-// Seed 0 joined the excluded set with the LU/eta basis kernel: its master
-// optimum is degenerate-tied, and the kernel's (different but equally valid)
-// round-off lets the warm path converge one cut earlier. Its objective and
-// bound remain pinned by BendersWarmObjectiveTest below.
-INSTANTIATE_TEST_SUITE_P(RandomInstances, BendersWarmStartTest,
-                         ::testing::Values(1, 2, 5, 6, 9));
-
-// The objective/bound half of the regression, on ALL seeds including the
-// degenerate ones excluded above.
-class BendersWarmObjectiveTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(BendersWarmObjectiveTest, ObjectiveUnchangedByWarmStart) {
-  const WarmStartCase c = make_warmstart_case(GetParam());
-  const AcrrInstance inst = c.fixture.instance(c.tenants);
-
-  BendersOptions cold_opts;
-  cold_opts.warm_start = false;
-  const AdmissionResult warm = solve_benders(inst);
-  const AdmissionResult cold = solve_benders(inst, cold_opts);
-  EXPECT_EQ(warm.optimal, cold.optimal);
-  EXPECT_NEAR(warm.objective, cold.objective,
-              1e-6 * (1.0 + std::abs(cold.objective)));
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomInstances, BendersWarmObjectiveTest,
-                         ::testing::Range(0, 10));
-
 // ---------------------------------------------------------------------- KAC
 
 TEST(Kac, FeasibleAndReasonable) {

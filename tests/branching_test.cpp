@@ -111,16 +111,16 @@ TEST(FractionalCandidates, FiltersToBestPriorityClassInVarOrder) {
   m.add_binary("d", -1.0, /*branch_priority=*/10);
   const std::vector<int> ints = m.integer_vars();
   // b is integral, so the priority-0 class still wins via c alone.
-  auto cands = fractional_candidates(m, ints, 1e-6, {0.5, 1.0, 0.25, 0.5});
+  auto cands = fractional_candidates(m, ints, {0.5, 1.0, 0.25, 0.5});
   ASSERT_EQ(cands.size(), 1u);
   EXPECT_EQ(cands[0].var, 2);
   EXPECT_DOUBLE_EQ(cands[0].frac, 0.25);
   EXPECT_DOUBLE_EQ(cands[0].dist(), 0.25);
   // Fully integral point: no candidates.
-  EXPECT_TRUE(fractional_candidates(m, ints, 1e-6, {0.0, 1.0, 1.0, 0.0}).empty());
+  EXPECT_TRUE(fractional_candidates(m, ints, {0.0, 1.0, 1.0, 0.0}).empty());
   // Priority-0 class fully integral: the priority-10 vars surface, in
   // ascending variable order.
-  cands = fractional_candidates(m, ints, 1e-6, {0.5, 1.0, 0.0, 0.75});
+  cands = fractional_candidates(m, ints, {0.5, 1.0, 0.0, 0.75});
   ASSERT_EQ(cands.size(), 2u);
   EXPECT_EQ(cands[0].var, 0);
   EXPECT_EQ(cands[1].var, 3);

@@ -144,7 +144,7 @@ TEST(RensRestrict, FixesNearIntegralAndShrinksTheRest) {
   LpSession sess(std::move(m), {});
   sess.push();
   const long fixed =
-      rens_restrict(sess, {0, 1, y}, {1.0 - 1e-9, 0.4, 3.6}, 1e-6);
+      rens_restrict(sess, {0, 1, y}, {1.0 - 1e-9, 0.4, 3.6});
   EXPECT_EQ(fixed, 1);
   EXPECT_DOUBLE_EQ(sess.model().variable(0).lower, 1.0);
   EXPECT_DOUBLE_EQ(sess.model().variable(0).upper, 1.0);

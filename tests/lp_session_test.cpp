@@ -583,9 +583,7 @@ TEST(LpSessionDual, PivotDisagreementAbandonsAfterOneRetry) {
   ASSERT_EQ(model.num_rows(), 63);
 
   const LpResult cold = solve_lp(model);
-  SimplexOptions opts;
-  opts.allow_dual = true;
-  const LpResult warm = solve_lp(model, opts, &basis);
+  const LpResult warm = solve_lp(model, {}, &basis);
   EXPECT_EQ(cold.status, LpStatus::Infeasible);
   EXPECT_EQ(warm.status, cold.status);
   EXPECT_TRUE(warm.used_warm_start);
@@ -632,10 +630,8 @@ void expect_matches_one_shot(LpSession& sess, const char* where) {
   const LpResult& got = sess.solve();
   ASSERT_EQ(got.status, LpStatus::Optimal);
 
-  SimplexOptions one_shot = lane_options();
-  one_shot.allow_dual = true;  // what the session forces on
   const LpModel copy = sess.model();
-  const LpResult want = solve_lp(copy, one_shot, warm.get());
+  const LpResult want = solve_lp(copy, lane_options(), warm.get());
   EXPECT_EQ(got.status, want.status);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(got.objective),
             std::bit_cast<std::uint64_t>(want.objective));

@@ -399,8 +399,8 @@ TEST(SimplexWarm, ReusedBasisSkipsPhase1OnIdenticalModel) {
 TEST(SimplexWarm, RepairAfterViolatedCutRow) {
   // Benders-master shape: optimum at (2, 6), then a cut the optimum
   // violates is appended. The warm basis is primal-infeasible in exactly
-  // the new row, the repair path swaps one artificial in, and a short
-  // Phase 1 restores feasibility.
+  // the new row but still dual-feasible, so dual simplex pivots restore
+  // feasibility without a Phase 1.
   LpModel m;
   const int x = m.add_variable("x", 0, kInf, -3.0);
   const int y = m.add_variable("y", 0, kInf, -5.0);
@@ -418,15 +418,47 @@ TEST(SimplexWarm, RepairAfterViolatedCutRow) {
   ASSERT_EQ(cold.status, LpStatus::Optimal);
   ASSERT_EQ(warm.status, LpStatus::Optimal);
   EXPECT_TRUE(warm.used_warm_start);
+  EXPECT_TRUE(warm.used_dual_simplex);
   EXPECT_NEAR(warm.objective, cold.objective, 1e-8);
   EXPECT_LT(m.max_violation(warm.x), 1e-7);
   EXPECT_LT(warm.iterations, cold.iterations);
 }
 
+TEST(SimplexWarm, ArtificialRepairWhenNeitherPrimalNorDualFeasible) {
+  // The optimal basis of max 3x + 5y, i.e. {x, y, s1} at (2, 6), then two
+  // edits: the objective turns to min 3x - 5y, which prices the r3 slack
+  // at -1 (not dual-feasible), and a cut the old optimum violates is
+  // appended (not primal-feasible). The dual simplex declines such a
+  // basis, so the warm solve keeps it and repairs it with artificials and
+  // a short Phase 1 instead of starting cold.
+  LpModel m;
+  const int x = m.add_variable("x", 0, kInf, -3.0);
+  const int y = m.add_variable("y", 0, kInf, -5.0);
+  m.add_row("r1", RowSense::LessEq, 4.0, {{x, 1.0}});
+  m.add_row("r2", RowSense::LessEq, 12.0, {{y, 2.0}});
+  m.add_row("r3", RowSense::LessEq, 18.0, {{x, 3.0}, {y, 2.0}});
+  const LpResult base = solve_lp(m);
+  ASSERT_EQ(base.status, LpStatus::Optimal);
+  ASSERT_NEAR(base.x[0], 2.0, 1e-8);
+  ASSERT_NEAR(base.x[1], 6.0, 1e-8);
+
+  m.set_cost(x, 3.0);
+  m.add_row("cut", RowSense::LessEq, 6.0, {{x, 1.0}, {y, 1.0}});  // 2+6 > 6
+  const LpResult cold = solve_lp(m);
+  const LpResult warm = solve_lp(m, {}, &base.basis);
+  ASSERT_EQ(cold.status, LpStatus::Optimal);
+  ASSERT_EQ(warm.status, LpStatus::Optimal);
+  EXPECT_TRUE(warm.used_warm_start);
+  EXPECT_FALSE(warm.used_dual_simplex);
+  EXPECT_NEAR(cold.objective, -30.0, 1e-8);  // (0, 6)
+  EXPECT_NEAR(warm.objective, cold.objective, 1e-8);
+  EXPECT_LT(m.max_violation(warm.x), 1e-7);
+}
+
 TEST(SimplexWarm, RepairAfterBranchingBoundChange) {
   // Branch-and-bound shape: the (fractional) basic variable's bounds
-  // tighten past its LP value; the parent basis repairs with one
-  // artificial instead of a cold Phase 1.
+  // tighten past its LP value; the parent basis is restored by dual
+  // pivots instead of a cold Phase 1.
   LpModel m;
   const int x = m.add_variable("x", 0.0, 1.0, -6.0);
   const int y = m.add_variable("y", 0.0, 1.0, -5.0);
@@ -454,8 +486,8 @@ TEST(SimplexWarm, BadlyScaledBasisSurvivesRelativePivotCheck) {
   // Regression for the absolute-singularity bug. Rows in ~1e-7 units (think
   // rates accidentally expressed in Gb/s instead of raw Mb/s) make the
   // optimal basis's second elimination pivot 1e-10 — below the absolute
-  // pivot_tol (1e-9) the old factorize_basis used, so the warm basis was
-  // declared singular and silently fell back to a cold start. The LU
+  // pivot tolerance (1e-9) the old factorize_basis used, so the warm basis
+  // was declared singular and silently fell back to a cold start. The LU
   // kernel's per-column *relative* threshold (1e-10 vs a ~1e-7 column)
   // accepts it and re-verifies optimality in zero pivots.
   LpModel m;
@@ -592,32 +624,6 @@ TEST_P(SimplexWarmRandomTest, WarmMatchesColdAfterModelEdits) {
 
 INSTANTIATE_TEST_SUITE_P(RandomLps, SimplexWarmRandomTest,
                          ::testing::Range(0, 60));
-
-TEST(MilpWarm, RootWarmStartPreservesOptimum) {
-  RngStream rng(99);
-  LpModel m;
-  std::vector<Coef> cap;
-  for (int j = 0; j < 12; ++j) {
-    m.add_binary("b" + std::to_string(j), -rng.uniform(1.0, 10.0));
-    cap.push_back({j, rng.uniform(1.0, 5.0)});
-  }
-  m.add_row("cap", RowSense::LessEq, 9.0, cap);
-  const MilpResult cold = solve_milp(m);
-  ASSERT_EQ(cold.status, MilpStatus::Optimal);
-  ASSERT_FALSE(cold.root_basis.empty());
-
-  // Appending a cut row and warm-starting from the stale root basis must
-  // not change the optimum.
-  m.add_row("cut", RowSense::LessEq, 5.0,
-            {{0, 1.0}, {1, 1.0}, {2, 1.0}, {3, 1.0}, {4, 1.0}, {5, 1.0}});
-  MilpOptions warm_opts;
-  warm_opts.warm_start = &cold.root_basis;
-  const MilpResult warm = solve_milp(m, warm_opts);
-  const MilpResult fresh = solve_milp(m);
-  ASSERT_EQ(warm.status, MilpStatus::Optimal);
-  ASSERT_EQ(fresh.status, MilpStatus::Optimal);
-  EXPECT_NEAR(warm.objective, fresh.objective, 1e-7);
-}
 
 // --------------------------------------------------------------------- MILP
 
