@@ -1,6 +1,7 @@
 // P1: google-benchmark microbenchmarks for the solver substrate — LP solve
 // latency versus size, MILP branch-and-bound on knapsack instances, the
-// Benders slave, and Yen's k-shortest paths on operator topologies.
+// Benders slave, Yen's k-shortest paths on operator topologies, and the
+// derive-then-draw cost of an RngStream child.
 #include <benchmark/benchmark.h>
 
 #include <sys/resource.h>
@@ -565,6 +566,26 @@ void BM_KShortestPaths(benchmark::State& state) {
   state.SetLabel("k=" + std::to_string(state.range(0)));
 }
 BENCHMARK(BM_KShortestPaths)->Arg(2)->Arg(8)->Unit(benchmark::kMillisecond);
+
+// RngStream as the scn/ generators use it: derive a child keyed by a fresh
+// index, then take k uniform draws. A service-day child draws 3-5 values, so
+// at k = 1 and 16 the cost is derive plus the engine's lazy first draws;
+// k = 1000 is a long stream. per_draw is the wall time per uniform draw.
+void BM_RngDerive(benchmark::State& state) {
+  const std::int64_t draws = state.range(0);
+  const RngStream root(static_cast<std::uint64_t>(draws) + 2018);
+  std::uint64_t index = 0;
+  for (auto _ : state) {
+    RngStream child = root.derive("tenant", index++);
+    double sum = 0.0;
+    for (std::int64_t k = 0; k < draws; ++k) sum += child.uniform();
+    benchmark::DoNotOptimize(sum);
+  }
+  state.counters["per_draw"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * draws),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_RngDerive)->Arg(1)->Arg(16)->Arg(1000);
 
 }  // namespace
 

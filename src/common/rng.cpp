@@ -1,12 +1,13 @@
 #include "common/rng.hpp"
 
 #include <cmath>
+#include <random>
 
 namespace ovnes {
 namespace {
 
 // FNV-1a over the label bytes, mixed with parent seed and index via
-// splitmix64 finalization. Quality is ample for seeding mt19937_64.
+// splitmix64 finalization. Quality is ample for seeding the engine.
 std::uint64_t mix(std::uint64_t h) {
   h += 0x9e3779b97f4a7c15ULL;
   h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <random>
 #include <set>
 #include <vector>
 
@@ -120,6 +122,98 @@ TEST(RngStream, LognormalMedian) {
   for (double& x : v) x = r.lognormal(1.0, 0.5);
   std::nth_element(v.begin(), v.begin() + 5000, v.end());
   EXPECT_NEAR(v[5000], std::exp(1.0), 0.1);  // median = e^mu
+}
+
+// The in-house engine must emit std::mt19937_64's sequence word for word;
+// every pinned digest rests on it. 1,000 draws cross the 311 -> 312 and
+// 623 -> 624 block boundaries, and the first 157 draws cover every step of
+// the lazy seeding.
+std::vector<std::uint64_t> engine_seeds() {
+  const RngStream root(42);
+  return {0,
+          1,
+          5489,
+          ~std::uint64_t{0},
+          root.derive("tenant", 0).seed(),
+          root.derive("arrival", 7).seed(),
+          root.derive("scenario", 1999).seed()};
+}
+
+TEST(LazyMt19937_64, MatchesStdMt19937_64WordForWord) {
+  for (const std::uint64_t seed : engine_seeds()) {
+    std::mt19937_64 expected(seed);
+    LazyMt19937_64 engine(seed);
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(engine(), expected()) << "seed " << seed << ", draw " << i;
+    }
+  }
+}
+
+// A copy taken part-way through the lazy seeding, or at a block boundary,
+// continues exactly like the engine it was copied from.
+TEST(LazyMt19937_64, CopiesContinueLikeTheOriginal) {
+  for (const std::uint64_t seed : engine_seeds()) {
+    for (const int taken_after : {0, 1, 155, 156, 157, 311, 312}) {
+      std::mt19937_64 expected(seed);
+      LazyMt19937_64 engine(seed);
+      for (int i = 0; i < taken_after; ++i) {
+        expected();
+        engine();
+      }
+      LazyMt19937_64 copy = engine;
+      for (int i = 0; i < 700; ++i) {
+        const std::uint64_t want = expected();
+        ASSERT_EQ(copy(), want) << "seed " << seed << ", copy after "
+                                << taken_after << ", draw " << i;
+        ASSERT_EQ(engine(), want) << "seed " << seed << ", original after "
+                                  << taken_after << ", draw " << i;
+      }
+    }
+  }
+}
+
+static_assert(LazyMt19937_64::min() == std::mt19937_64::min());
+static_assert(LazyMt19937_64::max() == std::mt19937_64::max());
+
+// The first draws of every distribution for one seed. The std distributions
+// behind them are libstdc++'s algorithms, not the standard's; a change of
+// engine or standard library fails here instead of moving digests silently.
+TEST(RngStream, FirstDrawsArePinned) {
+  constexpr std::uint64_t kSeed = 20180604;
+  const auto first4 = [](auto draw) {
+    RngStream r(kSeed);
+    std::vector<decltype(draw(r))> v;
+    for (int i = 0; i < 4; ++i) v.push_back(draw(r));
+    return v;
+  };
+  using D = std::vector<double>;
+  EXPECT_EQ(first4([](RngStream& r) { return r.uniform(); }),
+            (D{0x1.0c9f70e1b28f8p-4, 0x1.20ba462ae8386p-1,
+               0x1.862568dc5a0fdp-1, 0x1.6cb4c56e4f4fap-2}));
+  EXPECT_EQ(first4([](RngStream& r) { return r.uniform(-2.0, 3.0); }),
+            (D{-0x1.ac0e2cb978332p+0, 0x1.a3a35ed6891ap-1,
+               0x1.cf5d8626e1278p+0, -0x1.c0f049b0e6e4p-3}));
+  EXPECT_EQ(first4([](RngStream& r) { return r.gaussian(10.0, 2.0); }),
+            (D{0x1.46b730a3881e6p+3, 0x1.13d06ce877a27p+3,
+               0x1.35f63ce1a1745p+3, 0x1.6a17e1e1ff90fp+2}));
+  EXPECT_EQ(first4([](RngStream& r) {
+              return r.truncated_gaussian(1.0, 2.0, 0.0);
+            }),
+            (D{0x1.35b9851c40f2ep+0, 0x1.5f63ce1a17456p-1,
+               0x1.d701786aeefa8p-2, 0x1.83dc047b0c76ep+0}));
+  EXPECT_EQ(first4([](RngStream& r) { return r.uniform_int(-5, 1000000); }),
+            (std::vector<std::int64_t>{65577, 563919, 762003, 356155}));
+  EXPECT_EQ(first4([](RngStream& r) { return r.exponential(3.0); }),
+            (D{0x1.a0c1237a20b82p-3, 0x1.3eb1a8412afb6p+1,
+               0x1.139dcc8bfc124p+2, 0x1.5226fbdcdd9dbp+0}));
+  EXPECT_EQ(first4([](RngStream& r) { return r.pareto(1.5, 2.0); }),
+            (D{0x1.0bd79dd7c6b16p+1, 0x1.bd2c963cd5915p+1,
+               0x1.4d4bd571dfceep+2, 0x1.5756443dba693p+1}));
+  EXPECT_EQ(first4([](RngStream& r) { return r.lognormal(0.5, 0.8); }),
+            (D{0x1.cb0877ab368ddp+0, 0x1.e5e6406271e34p-1,
+               0x1.744ce02fb0c2p+0, 0x1.293e9467a4795p-2}));
+  EXPECT_EQ(first4([](RngStream& r) { return r.flip(0.5); }),
+            (std::vector<bool>{true, false, false, true}));
 }
 
 // ------------------------------------------------------------- RunningStats

@@ -143,9 +143,10 @@ class SessionVsSolveLpBattery : public ::testing::TestWithParam<BatteryCase> {};
 
 TEST_P(SessionVsSolveLpBattery, CutLoopMatchesStatelessSolves) {
   const auto [m, seed] = GetParam();
-  // The m = 500 instance spends ~20 s in the stateless reference solves;
-  // under OVNES_FAST (CI, the TSan job) the smaller sizes carry the
-  // equivalence check and the big one runs in full local suites only.
+  // The m = 500 instance spends 5-7 s in the stateless reference solves in
+  // a Release build and over 140 s under TSan. Under OVNES_FAST (CI, the
+  // TSan job) the smaller sizes carry the equivalence check and the big one
+  // runs in full local suites only.
   if (m >= 500 && std::getenv("OVNES_FAST") != nullptr) {
     GTEST_SKIP() << "OVNES_FAST: skipping m=" << m << " battery case";
   }
