@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 namespace ovnes::solver {
 
@@ -91,8 +90,6 @@ bool CutPool::add(Rowdef row) {
       // Equal or weaker: the pooled row already implies it.
       ++(row.rhs <= e.row.rhs + kCoefTol ? stats_.duplicates
                                          : stats_.dominated);
-      ++e.activity;
-      e.idle_rounds = 0;
       return false;
     }
     // Strictly tighter rhs: the new row dominates — retire the pooled one
@@ -104,10 +101,7 @@ bool CutPool::add(Rowdef row) {
     std::erase(bucket, idx);
     break;
   }
-  Entry e;
-  e.row = std::move(row);
-  e.signature = sig;
-  entries_.push_back(std::move(e));
+  entries_.push_back(Entry{std::move(row)});
   bucket.push_back(entries_.size() - 1);
   ++stats_.inserted;
   return true;
@@ -117,7 +111,7 @@ std::vector<Rowdef> CutPool::violated_at(const std::vector<double>& x) {
   std::lock_guard<std::mutex> lk(mu_);
   ++stats_.lookups;
   std::vector<Rowdef> out;
-  for (Entry& e : entries_) {
+  for (const Entry& e : entries_) {
     if (!e.active) continue;
     double lhs = 0.0;
     for (const Coef& c : e.row.coefs) {
@@ -130,8 +124,6 @@ std::vector<Rowdef> CutPool::violated_at(const std::vector<double>& x) {
                             : lhs - e.row.rhs;
     if (viol > kViolationTol) {
       out.push_back(e.row);
-      ++e.activity;
-      e.idle_rounds = 0;
       ++stats_.hits;
     }
   }
@@ -146,44 +138,6 @@ std::vector<Rowdef> CutPool::fetch_new(std::size_t& version) const {
   }
   version = entries_.size();
   return out;
-}
-
-void CutPool::advance_round() {
-  std::lock_guard<std::mutex> lk(mu_);
-  std::size_t active = 0;
-  for (Entry& e : entries_) {
-    if (!e.active) continue;
-    ++e.idle_rounds;
-    ++active;
-  }
-  if (active <= opts_.capacity) return;
-  // Eviction order: longest idle streak first, then least activity, then
-  // oldest. Only rows past max_idle_rounds are eligible — a hot pool over
-  // capacity keeps its recent rows rather than thrash.
-  std::vector<std::size_t> candidates;
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].active && entries_[i].idle_rounds > opts_.max_idle_rounds) {
-      candidates.push_back(i);
-    }
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [&](std::size_t a, std::size_t b) {
-              const Entry& ea = entries_[a];
-              const Entry& eb = entries_[b];
-              if (ea.idle_rounds != eb.idle_rounds) {
-                return ea.idle_rounds > eb.idle_rounds;
-              }
-              if (ea.activity != eb.activity) return ea.activity < eb.activity;
-              return a < b;
-            });
-  for (std::size_t i : candidates) {
-    if (active <= opts_.capacity) break;
-    Entry& e = entries_[i];
-    e.active = false;
-    std::erase(index_[e.signature], i);
-    ++stats_.evicted;
-    --active;
-  }
 }
 
 std::size_t CutPool::size() const {

@@ -384,7 +384,6 @@ SeparationStep separate_candidate(BnbShared& sh, const LpResult& lp,
     if (sh.cuts->add(std::move(pooled))) ++step.fresh;  // the original
     step.rows.push_back(std::move(r));
   }
-  sh.cuts->advance_round();
   return step;
 }
 

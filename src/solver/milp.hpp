@@ -95,7 +95,8 @@ struct SolveStats {
   /// pool lookup found them violated first. The pool lives for one solve,
   /// so every such row was separated earlier in the same solve.
   long cuts_from_pool = 0;
-  /// Rows that left the solve's pool active set (aged out or dominated).
+  /// Pooled rows a strictly tighter row of the same support replaced in
+  /// the solve's pool (the pool has no other eviction).
   long cuts_evicted = 0;
   /// Separation callback invocations (integral + fractional rounds); for
   /// multi-tree Benders, slave solves (the master's x̄ plus probes).

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
+#include <iterator>
+#include <numeric>
 #include <string>
 
 #include "acrr/benders.hpp"
@@ -56,6 +57,7 @@ const char* to_string(DecisionKind k) {
     case DecisionKind::RejectedDuplicate: return "rej-dup";
     case DecisionKind::RejectedFull: return "rej-full";
     case DecisionKind::RejectedSolver: return "rej-solver";
+    case DecisionKind::RejectedInvalid: return "rej-invalid";
     case DecisionKind::Departed: return "depart";
     case DecisionKind::Updated: return "update";
     case DecisionKind::Expired: return "expire";
@@ -73,6 +75,7 @@ void ShardStats::accumulate(const ShardStats& o) {
   rejected_duplicate += o.rejected_duplicate;
   rejected_full += o.rejected_full;
   rejected_solver += o.rejected_solver;
+  rejected_invalid += o.rejected_invalid;
   departures += o.departures;
   updates += o.updates;
   expiries += o.expiries;
@@ -93,7 +96,10 @@ Shard::Shard(const topo::Topology& base, ShardConfig cfg, std::uint32_t id)
       num_bs_(topo_.num_bs()),
       num_cu_(topo_.num_cu()),
       session_(make_base_model(topo_.num_bs())),
-      tenants_(64) {
+      tenants_(64),
+      link_seen_(topo_.graph.num_links(), 0),
+      z_scratch_(num_bs_, 0.0) {
+  link_order_.reserve(topo_.graph.num_links());
   committed_radio_prbs_.assign(num_bs_, 0.0);
   committed_cpu_cores_.assign(num_cu_, 0.0);
   committed_link_mbps_.assign(topo_.graph.num_links(), 0.0);
@@ -179,24 +185,20 @@ void Shard::stage_candidate(const TypeInfo& ti, std::uint32_t cu, double w) {
   }
   // Transport links: Σ_{b: e ∈ path(b,cu)} η_e·z_b ≤ residual C_e, one row
   // per link touched by any of the B candidate paths. First-touch order
-  // keeps the row sequence deterministic.
-  const std::size_t num_links = link_budget_mbps_.size();
-  auto* seen = arena_.alloc_array<char>(num_links);
-  std::memset(seen, 0, num_links);
-  auto* touched = arena_.alloc_array<std::uint32_t>(num_links);
-  std::size_t n_touched = 0;
+  // keeps the row sequence deterministic; the row loop clears link_seen_.
+  link_order_.clear();
   for (std::size_t b = 0; b < num_bs_; ++b) {
     const topo::CandidatePath* p = ti.path[cu * num_bs_ + b];
     if (p == nullptr) continue;
     for (LinkId e : p->links) {
-      if (seen[e.index()] == 0) {
-        seen[e.index()] = 1;
-        touched[n_touched++] = e.value();
+      if (link_seen_[e.index()] == 0) {
+        link_seen_[e.index()] = 1;
+        link_order_.push_back(e.value());
       }
     }
   }
-  for (std::size_t i = 0; i < n_touched; ++i) {
-    const std::uint32_t e = touched[i];
+  for (const std::uint32_t e : link_order_) {
+    link_seen_[e] = 0;
     const double overhead = topo_.graph.link(LinkId(e)).overhead;
     std::vector<solver::Coef> coefs;
     for (std::size_t b = 0; b < num_bs_; ++b) {
@@ -215,6 +217,30 @@ void Shard::stage_candidate(const TypeInfo& ti, std::uint32_t cu, double w) {
   }
 }
 
+bool Shard::price(const TypeInfo& ti, std::uint32_t cu, double w,
+                  double* z) {
+  session_.push();
+  stage_candidate(ti, cu, w);
+  const solver::LpResult& r = session_.solve();
+  const bool optimal = r.status == solver::LpStatus::Optimal;
+  if (optimal) {
+    for (std::size_t b = 0; b < num_bs_; ++b) {
+      z[b] = std::clamp(r.x[b], 0.0, ti.tmpl.sla_rate);
+    }
+  }
+  session_.pop();
+  return optimal;
+}
+
+Decision Shard::decision(const Event& e, DecisionKind kind) const {
+  Decision d;
+  d.tenant_id = e.tenant_id;
+  d.event = e.type;
+  d.shard = id_;
+  d.kind = kind;
+  return d;
+}
+
 Decision Shard::handle(const Event& e) {
   switch (e.type) {
     case EventType::TenantArrival: return admit(e);
@@ -222,54 +248,48 @@ Decision Shard::handle(const Event& e) {
     case EventType::DemandUpdate: return update(e);
     case EventType::EpochTick: break;  // routed to end_epoch, never here
   }
-  Decision d;
-  d.tenant_id = e.tenant_id;
-  d.event = e.type;
-  d.shard = id_;
-  d.kind = DecisionKind::Unknown;
-  return d;
+  return decision(e, DecisionKind::Unknown);
 }
 
 Decision Shard::admit(const Event& e) {
   ++stats_.arrivals;
-  Decision d;
-  d.tenant_id = e.tenant_id;
-  d.event = e.type;
-  d.shard = id_;
-
+  const auto type_idx = static_cast<std::size_t>(e.slice_type);
+  if (type_idx >= std::size(types_) || !std::isfinite(e.lambda_hat) ||
+      !std::isfinite(e.sigma_hat) || !std::isfinite(e.penalty_factor) ||
+      e.penalty_factor < 0.0) {
+    ++stats_.rejected_invalid;
+    return decision(e, DecisionKind::RejectedInvalid);
+  }
   if (tenants_.find(e.tenant_id) != IdMap::kMissing) {
     ++stats_.rejected_duplicate;
-    d.kind = DecisionKind::RejectedDuplicate;
-    return d;
+    return decision(e, DecisionKind::RejectedDuplicate);
   }
-  if (cfg_.max_tenants != 0 && slab_.size() >= cfg_.max_tenants) {
+  if (cfg_.max_tenants != 0 && tenants_.size() >= cfg_.max_tenants) {
     ++stats_.rejected_full;
-    d.kind = DecisionKind::RejectedFull;
-    return d;
+    return decision(e, DecisionKind::RejectedFull);
   }
-  const auto type_idx = static_cast<std::size_t>(e.slice_type);
   const TypeInfo& ti = types_[type_idx];
   if (ti.feasible_cus.empty()) {
     ++stats_.rejected_no_route;
-    d.kind = DecisionKind::RejectedNoRoute;
-    return d;
+    return decision(e, DecisionKind::RejectedNoRoute);
   }
   // CU pick: most residual cores, first on ties; the service baseline a
   // must fit outright (it is paid whether or not load arrives).
-  std::uint32_t cu = Slab<int>::kInvalid;
+  bool placed = false;
+  std::uint32_t cu = 0;
   double best_resid = 0.0;
   for (std::uint32_t c : ti.feasible_cus) {
     const double resid = cpu_budget_cores_[c] - committed_cpu_cores_[c];
     if (resid < ti.tmpl.service.baseline - kTol) continue;
-    if (cu == Slab<int>::kInvalid || resid > best_resid + kTol) {
+    if (!placed || resid > best_resid + kTol) {
+      placed = true;
       cu = c;
       best_resid = resid;
     }
   }
-  if (cu == Slab<int>::kInvalid) {
+  if (!placed) {
     ++stats_.rejected_capacity;
-    d.kind = DecisionKind::RejectedCapacity;
-    return d;
+    return decision(e, DecisionKind::RejectedCapacity);
   }
 
   const double lambda_hat = std::max(0.0, e.lambda_hat);
@@ -278,39 +298,33 @@ Decision Shard::admit(const Event& e) {
       acrr::risk_weight(ti.tmpl, lambda_hat, e.sigma_hat, e.penalty_factor,
                         std::max<std::uint32_t>(1, e.duration_epochs), num_bs_)
           .w;
-  arena_.reset();
-  session_.push();
-  stage_candidate(ti, cu, w);
-  const solver::LpResult& r = session_.solve();
-  if (r.status != solver::LpStatus::Optimal) {
-    session_.pop();
+  if (!price(ti, cu, w, z_scratch_.data())) {
     ++stats_.rejected_solver;
-    d.kind = DecisionKind::RejectedSolver;
-    return d;
+    return decision(e, DecisionKind::RejectedSolver);
   }
-  const double sla = ti.tmpl.sla_rate;
-  auto* z = arena_.alloc_array<double>(num_bs_);
-  double sum_z = 0.0;
-  for (std::size_t b = 0; b < num_bs_; ++b) {
-    z[b] = std::clamp(r.x[b], 0.0, sla);
-    sum_z += z[b];
-  }
-  session_.pop();
+  const double sum_z =
+      std::accumulate(z_scratch_.begin(), z_scratch_.end(), 0.0);
 
   // Risk-adjusted net value of holding this SLA for one epoch.
   const double value =
-      ti.tmpl.reward - w * (static_cast<double>(num_bs_) * sla - sum_z);
-  d.value = value;
+      ti.tmpl.reward -
+      w * (static_cast<double>(num_bs_) * ti.tmpl.sla_rate - sum_z);
   if (value < cfg_.admit_margin) {
     ++stats_.rejected_profit;
-    d.kind = DecisionKind::RejectedProfit;
+    Decision d = decision(e, DecisionKind::RejectedProfit);
+    d.value = value;
     return d;
   }
 
-  const std::uint32_t slot = slab_.allocate();
-  if (slot >= entries_.size()) {
-    entries_.resize(slot + 1);
-    z_store_.resize(static_cast<std::size_t>(slot + 1) * num_bs_, 0.0);
+  // Newest-freed slot first; the slot order is the re-solve's tenant order.
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(entries_.size());
+    entries_.emplace_back();
+    z_store_.resize(z_store_.size() + num_bs_, 0.0);
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
   }
   TenantEntry& t = entries_[slot];
   t = TenantEntry{};
@@ -323,47 +337,38 @@ Decision Shard::admit(const Event& e) {
   t.cu = cu;
   t.duration = e.duration_epochs;
   t.remaining = e.duration_epochs;
-  std::memcpy(zrow(slot), z, num_bs_ * sizeof(double));
+  t.live = true;
+  std::copy(z_scratch_.begin(), z_scratch_.end(), zrow(slot));
   tenants_.insert(e.tenant_id, slot);
-  book(slot, zrow(slot), 1.0);
+  book(slot, 1.0);
   lambda_admitted_sum_ += t.lambda_admitted;
 
   ++stats_.admitted;
-  d.kind = DecisionKind::Admitted;
+  Decision d = decision(e, DecisionKind::Admitted);
   d.z_total = sum_z;
+  d.value = value;
   return d;
 }
 
 Decision Shard::depart(const Event& e) {
   ++stats_.departures;
-  Decision d;
-  d.tenant_id = e.tenant_id;
-  d.event = e.type;
-  d.shard = id_;
   const std::uint32_t slot = tenants_.find(e.tenant_id);
   if (slot == IdMap::kMissing) {
     ++stats_.unknown_tenant;
-    d.kind = DecisionKind::Unknown;
-    return d;
+    return decision(e, DecisionKind::Unknown);
   }
-  const double* z = zrow(slot);
-  for (std::size_t b = 0; b < num_bs_; ++b) d.z_total += z[b];
+  Decision d = decision(e, DecisionKind::Departed);
+  d.z_total = z_total(slot);
   release_tenant(slot);
-  d.kind = DecisionKind::Departed;
   return d;
 }
 
 Decision Shard::update(const Event& e) {
   ++stats_.updates;
-  Decision d;
-  d.tenant_id = e.tenant_id;
-  d.event = e.type;
-  d.shard = id_;
   const std::uint32_t slot = tenants_.find(e.tenant_id);
   if (slot == IdMap::kMissing) {
     ++stats_.unknown_tenant;
-    d.kind = DecisionKind::Unknown;
-    return d;
+    return decision(e, DecisionKind::Unknown);
   }
   TenantEntry& t = entries_[slot];
   const TypeInfo& ti = types_[static_cast<std::size_t>(t.type)];
@@ -374,39 +379,42 @@ Decision Shard::update(const Event& e) {
   const double* z = zrow(slot);
   std::size_t violated = 0;
   for (std::size_t b = 0; b < num_bs_; ++b) {
-    d.z_total += z[b];
     if (demand > z[b] + kTol) ++violated;
   }
   const double frac =
       static_cast<double>(violated) / static_cast<double>(num_bs_);
   if (violated > 0) {
-    const double minutes = cfg_.update_interval_min * frac;
-    t.violation_minutes += minutes;
-    stats_.violation_minutes += minutes;
+    stats_.violation_minutes += cfg_.update_interval_min * frac;
     ++stats_.violation_samples;
   }
-  // Forecast refresh feeds the drift trigger; negative λ̂ keeps the old one.
-  if (e.lambda_hat >= 0.0) {
+  // Forecast refresh feeds the drift trigger; a negative or non-finite λ̂
+  // keeps the old one.
+  if (std::isfinite(e.lambda_hat) && e.lambda_hat >= 0.0) {
     const double fresh = e.lambda_hat;
     drift_abs_ += std::abs(fresh - t.lambda_admitted) -
                   std::abs(t.lambda_hat - t.lambda_admitted);
     t.lambda_hat = fresh;
   }
-  d.kind = DecisionKind::Updated;
+  Decision d = decision(e, DecisionKind::Updated);
+  d.z_total = z_total(slot);
   d.value = frac;
   return d;
 }
 
-void Shard::book(std::uint32_t slot, const double* z, double sign) {
+double Shard::z_total(std::uint32_t slot) const {
+  const double* z = zrow(slot);
+  return std::accumulate(z, z + num_bs_, 0.0);
+}
+
+void Shard::book(std::uint32_t slot, double sign) {
   // Each finished term is signed, so a release subtracts exactly what the
   // commit added.
   const TenantEntry& t = entries_[slot];
   const TypeInfo& ti = types_[static_cast<std::size_t>(t.type)];
-  double sum_z = 0.0;
+  const double* z = zrow(slot);
   for (std::size_t b = 0; b < num_bs_; ++b) {
     const auto& bs = topo_.bs(BsId(static_cast<std::uint32_t>(b)));
     committed_radio_prbs_[b] += sign * (z[b] / bs.mbps_per_prb);
-    sum_z += z[b];
     const topo::CandidatePath* p = ti.path[t.cu * num_bs_ + b];
     if (p == nullptr) continue;
     for (LinkId e : p->links) {
@@ -416,42 +424,45 @@ void Shard::book(std::uint32_t slot, const double* z, double sign) {
   }
   const auto& service = ti.tmpl.service;
   committed_cpu_cores_[t.cu] +=
-      sign * (service.baseline + service.cores_per_mbps * sum_z);
+      sign * (service.baseline + service.cores_per_mbps * z_total(slot));
 }
 
 void Shard::release_tenant(std::uint32_t slot) {
-  book(slot, zrow(slot), -1.0);
-  const TenantEntry& t = entries_[slot];
+  book(slot, -1.0);
+  TenantEntry& t = entries_[slot];
   drift_abs_ -= std::abs(t.lambda_hat - t.lambda_admitted);
   lambda_admitted_sum_ -= t.lambda_admitted;
   tenants_.erase(t.id);
-  slab_.release(slot);
+  t.live = false;
+  free_slots_.push_back(slot);
 }
 
-void Shard::recompute_committed() {
+void Shard::clear_ledger() {
   std::fill(committed_radio_prbs_.begin(), committed_radio_prbs_.end(), 0.0);
   std::fill(committed_cpu_cores_.begin(), committed_cpu_cores_.end(), 0.0);
   std::fill(committed_link_mbps_.begin(), committed_link_mbps_.end(), 0.0);
-  for (std::uint32_t slot = 0; slot < slab_.capacity(); ++slot) {
-    if (slab_.occupied(slot)) book(slot, zrow(slot), 1.0);
+}
+
+void Shard::recompute_committed() {
+  clear_ledger();
+  for (std::uint32_t slot = 0; slot < entries_.size(); ++slot) {
+    if (entries_[slot].live) book(slot, 1.0);
   }
 }
 
 void Shard::end_epoch(std::size_t epoch, std::vector<Decision>& out) {
   // Fixed-duration slices age out first (their capacity frees before any
   // re-optimization sees the shard).
-  for (std::uint32_t slot = 0; slot < slab_.capacity(); ++slot) {
-    if (!slab_.occupied(slot)) continue;
+  for (std::uint32_t slot = 0; slot < entries_.size(); ++slot) {
     TenantEntry& t = entries_[slot];
-    if (t.remaining == 0) continue;  // open-ended
+    if (!t.live || t.remaining == 0) continue;  // free or open-ended
     if (--t.remaining > 0) continue;
     Decision d;
     d.tenant_id = t.id;
     d.event = EventType::EpochTick;
     d.shard = id_;
     d.kind = DecisionKind::Expired;
-    const double* z = zrow(slot);
-    for (std::size_t b = 0; b < num_bs_; ++b) d.z_total += z[b];
+    d.z_total = z_total(slot);
     out.push_back(d);
     release_tenant(slot);
     ++stats_.expiries;
@@ -462,8 +473,8 @@ void Shard::end_epoch(std::size_t epoch, std::vector<Decision>& out) {
       (epoch + 1) % static_cast<std::size_t>(cfg_.full_resolve_every) == 0;
   const bool drifted = lambda_admitted_sum_ > 0.0 &&
                        drift_abs_ > cfg_.drift_threshold * lambda_admitted_sum_;
-  if ((periodic || drifted) && slab_.size() > 0) {
-    if (slab_.size() <= cfg_.max_resolve_tenants) {
+  if ((periodic || drifted) && num_tenants() > 0) {
+    if (num_tenants() <= cfg_.max_resolve_tenants) {
       benders_resolve();
       ++stats_.full_resolves;
     } else {
@@ -479,11 +490,11 @@ void Shard::benders_resolve() {
   // so the pinned set is always feasible.
   std::vector<std::uint32_t> slots;
   std::vector<acrr::TenantModel> tenants;
-  slots.reserve(slab_.size());
-  tenants.reserve(slab_.size());
-  for (std::uint32_t slot = 0; slot < slab_.capacity(); ++slot) {
-    if (!slab_.occupied(slot)) continue;
+  slots.reserve(num_tenants());
+  tenants.reserve(num_tenants());
+  for (std::uint32_t slot = 0; slot < entries_.size(); ++slot) {
     const TenantEntry& t = entries_[slot];
+    if (!t.live) continue;
     acrr::TenantModel tm;
     tm.request.tenant = TenantId(static_cast<std::uint32_t>(t.id));
     tm.request.name = "t" + std::to_string(t.id);
@@ -498,7 +509,6 @@ void Shard::benders_resolve() {
     slots.push_back(slot);
     tenants.push_back(std::move(tm));
   }
-
   acrr::AcrrConfig ac;
   ac.allow_deficit = true;  // pins require the §3.4 relaxation
   const acrr::AcrrInstance inst(topo_, catalog_, std::move(tenants), ac);
@@ -543,32 +553,21 @@ void Shard::greedy_repack() {
   // Oversize fallback: rebuild every reservation with the hot-path LP in
   // slot order against a zeroed commitment ledger. Deterministic, O(T)
   // small LP solves, no optimality claim — the exact re-solve is reserved
-  // for shards within max_resolve_tenants.
-  std::fill(committed_radio_prbs_.begin(), committed_radio_prbs_.end(), 0.0);
-  std::fill(committed_cpu_cores_.begin(), committed_cpu_cores_.end(), 0.0);
-  std::fill(committed_link_mbps_.begin(), committed_link_mbps_.end(), 0.0);
+  // for shards within max_resolve_tenants. A tenant whose LP does not
+  // solve keeps its old reservation.
+  clear_ledger();
   drift_abs_ = 0.0;
   lambda_admitted_sum_ = 0.0;
-  for (std::uint32_t slot = 0; slot < slab_.capacity(); ++slot) {
-    if (!slab_.occupied(slot)) continue;
+  for (std::uint32_t slot = 0; slot < entries_.size(); ++slot) {
     TenantEntry& t = entries_[slot];
+    if (!t.live) continue;
     const TypeInfo& ti = types_[static_cast<std::size_t>(t.type)];
     const double w =
         acrr::risk_weight(ti.tmpl, t.lambda_hat, t.sigma_hat, t.penalty_factor,
                           std::max<std::uint32_t>(1, t.duration), num_bs_)
             .w;
-    arena_.reset();
-    session_.push();
-    stage_candidate(ti, t.cu, w);
-    const solver::LpResult& r = session_.solve();
-    double* z = zrow(slot);
-    if (r.status == solver::LpStatus::Optimal) {
-      for (std::size_t b = 0; b < num_bs_; ++b) {
-        z[b] = std::clamp(r.x[b], 0.0, ti.tmpl.sla_rate);
-      }
-    }
-    session_.pop();
-    book(slot, z, 1.0);
+    price(ti, t.cu, w, zrow(slot));
+    book(slot, 1.0);
     t.lambda_admitted = t.lambda_hat;
     lambda_admitted_sum_ += t.lambda_admitted;
   }
@@ -576,23 +575,16 @@ void Shard::greedy_repack() {
 
 double Shard::reservation_total(std::uint64_t id) const {
   const std::uint32_t slot = tenants_.find(id);
-  if (slot == IdMap::kMissing) return -1.0;
-  const double* z = zrow(slot);
-  double sum = 0.0;
-  for (std::size_t b = 0; b < num_bs_; ++b) sum += z[b];
-  return sum;
+  return slot == IdMap::kMissing ? -1.0 : z_total(slot);
 }
 
 double Shard::overbooked_mbps() const {
   double total = 0.0;
-  for (std::uint32_t slot = 0; slot < slab_.capacity(); ++slot) {
-    if (!slab_.occupied(slot)) continue;
+  for (std::uint32_t slot = 0; slot < entries_.size(); ++slot) {
     const TenantEntry& t = entries_[slot];
+    if (!t.live) continue;
     const double sla = types_[static_cast<std::size_t>(t.type)].tmpl.sla_rate;
-    const double* z = zrow(slot);
-    double sum = 0.0;
-    for (std::size_t b = 0; b < num_bs_; ++b) sum += z[b];
-    total += static_cast<double>(num_bs_) * sla - sum;
+    total += static_cast<double>(num_bs_) * sla - z_total(slot);
   }
   return std::max(0.0, total);
 }

@@ -23,9 +23,15 @@
 // an admit commits the reservation into plain per-resource scalars. The
 // one model difference from the AC-RR slave is the reservation floor: z_b
 // may fall to 0 here, while the slave keeps z ≥ λ̂ (docs/service.md).
-// Scratch lives in the shard's Arena, tenant records in a Slab —
-// steady-state admission allocates nothing on the svc side
-// (docs/service.md "memory model").
+// An arrival with an unknown slice type, a non-finite λ̂, σ̂ or penalty
+// factor, or a negative penalty factor is rejected as RejectedInvalid
+// before any of this runs.
+//
+// Tenant records live in plain vectors indexed by slot: a freed slot is
+// reused newest-first, and the re-solve and the repack walk tenants in
+// slot order. The per-arrival scratch is sized once at construction; the
+// CPU and link rows of each arrival still allocate their coefficient
+// vectors (docs/service.md "memory model").
 //
 // Slow path (end_epoch): demand updates accumulate forecast drift; past
 // ShardConfig::drift_threshold (or every full_resolve_every epochs) the
@@ -40,8 +46,8 @@
 
 #include "acrr/instance.hpp"
 #include "solver/lp_session.hpp"
-#include "svc/arena.hpp"
 #include "svc/events.hpp"
+#include "svc/id_map.hpp"
 #include "topo/topology.hpp"
 
 namespace ovnes::svc {
@@ -80,6 +86,7 @@ enum class DecisionKind : std::uint8_t {
   RejectedDuplicate,  ///< tenant id already live on this shard
   RejectedFull,       ///< shard at max_tenants (overload shedding)
   RejectedSolver,     ///< admission LP did not solve to optimality
+  RejectedInvalid,    ///< unknown slice type, non-finite forecast or penalty
   Departed,
   Updated,
   Expired,  ///< duration_epochs elapsed at an epoch tick
@@ -114,6 +121,7 @@ struct ShardStats : solver::SolveStats {
   std::uint64_t rejected_duplicate = 0;
   std::uint64_t rejected_full = 0;
   std::uint64_t rejected_solver = 0;
+  std::uint64_t rejected_invalid = 0;
   std::uint64_t departures = 0;
   std::uint64_t updates = 0;
   std::uint64_t expiries = 0;
@@ -152,7 +160,9 @@ class Shard {
 
   // ------------------------------------------------------------- introspection
   [[nodiscard]] const ShardStats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t num_tenants() const { return slab_.size(); }
+  [[nodiscard]] std::size_t num_tenants() const { return tenants_.size(); }
+  /// Tenant slots ever created, live or free; churn reuses free slots.
+  [[nodiscard]] std::size_t slot_capacity() const { return entries_.size(); }
   [[nodiscard]] bool has_tenant(std::uint64_t id) const {
     return tenants_.find(id) != IdMap::kMissing;
   }
@@ -165,15 +175,13 @@ class Shard {
   [[nodiscard]] double radio_headroom_mbps() const;
   [[nodiscard]] double cpu_headroom_cores() const;
 
-  [[nodiscard]] const Arena::Stats& arena_stats() const { return arena_.stats(); }
-  [[nodiscard]] const Slab<int>::Stats& slab_stats() const { return slab_.stats(); }
   [[nodiscard]] const solver::LpSession::Stats& session_stats() const {
     return session_.stats();
   }
   [[nodiscard]] const topo::Topology& topology() const { return topo_; }
 
  private:
-  /// Live tenant record. POD: slab slots are value-initialized on reuse.
+  /// Tenant record of one slot; a reused slot is overwritten whole.
   struct TenantEntry {
     std::uint64_t id = 0;
     slice::SliceType type = slice::SliceType::eMBB;
@@ -184,7 +192,7 @@ class Shard {
     std::uint32_t cu = 0;          ///< placed computing unit (index)
     std::uint32_t duration = 0;    ///< requested L (epochs), 0 = open-ended
     std::uint32_t remaining = 0;   ///< epochs left, 0 = open-ended
-    double violation_minutes = 0.0;
+    bool live = false;             ///< false once departed or expired
   };
 
   /// Per-slice-type structures precomputed at construction.
@@ -198,24 +206,30 @@ class Shard {
   Decision admit(const Event& e);
   Decision depart(const Event& e);
   Decision update(const Event& e);
+  /// A decision of kind `kind` on `e`'s tenant, event type and this shard.
+  [[nodiscard]] Decision decision(const Event& e, DecisionKind kind) const;
 
+  /// Price a `ti`-shaped tenant with risk weight `w` placed on `cu`: open
+  /// a frame, stage the candidate, solve, write the reservation clamped to
+  /// [0, Λ] into z[0..B), pop. False (z untouched) when the LP is not
+  /// Optimal.
+  bool price(const TypeInfo& ti, std::uint32_t cu, double w, double* z);
   /// Raise z bounds/costs and append the CPU + link coupling rows as frame
   /// cuts for a `ti`-shaped tenant placed on `cu`; caller opened the frame.
   void stage_candidate(const TypeInfo& ti, std::uint32_t cu, double w);
   /// Residual radio capacity of BS b in Mbps.
   [[nodiscard]] double radio_residual_mbps(std::size_t b) const;
   /// Add (sign = +1) or remove (sign = −1) the radio, link and CPU load of
-  /// the tenant in `slot` holding reservation `z` to the committed ledger.
-  void book(std::uint32_t slot, const double* z, double sign);
+  /// the tenant in `slot` to the committed ledger.
+  void book(std::uint32_t slot, double sign);
   void release_tenant(std::uint32_t slot);
+  void clear_ledger();
   void recompute_committed();
   void benders_resolve();
   void greedy_repack();
 
-  [[nodiscard]] const TenantEntry& entry(std::uint32_t slot) const {
-    return entries_[slot];
-  }
-  [[nodiscard]] TenantEntry& entry(std::uint32_t slot) { return entries_[slot]; }
+  /// Σ_b z_b of the reservation in `slot`, summed in BS order.
+  [[nodiscard]] double z_total(std::uint32_t slot) const;
   [[nodiscard]] double* zrow(std::uint32_t slot) {
     return z_store_.data() + static_cast<std::size_t>(slot) * num_bs_;
   }
@@ -233,12 +247,16 @@ class Shard {
 
   solver::LpSession session_;  ///< base model: z_b per BS, pinned [0, 0]
 
-  // Tenant state: slab slots + id index + flat reservation rows.
-  Slab<int> slab_;             ///< slot liveness/reuse (payload in entries_)
-  std::vector<TenantEntry> entries_;  ///< [slot], grown with the slab
-  std::vector<double> z_store_;       ///< [slot * B + b]
+  // Tenant state: slots + id index + flat reservation rows.
+  std::vector<TenantEntry> entries_;      ///< [slot], live or free
+  std::vector<std::uint32_t> free_slots_; ///< free slots, newest-freed last
+  std::vector<double> z_store_;           ///< [slot * B + b]
   IdMap tenants_;              ///< tenant id -> slot
-  Arena arena_;                ///< per-request scratch
+
+  // Per-arrival scratch, sized once at construction.
+  std::vector<char> link_seen_;            ///< [e], all 0 between calls
+  std::vector<std::uint32_t> link_order_;  ///< touched links, first-touch order
+  std::vector<double> z_scratch_;          ///< [b], the priced reservation
 
   // Committed-resource scalars (the shard's whole "model" between solves).
   std::vector<double> committed_radio_prbs_;  ///< [b]

@@ -1,6 +1,6 @@
 // Tests for the concurrent deduplicating cut pool (solver/cut_pool.hpp):
 // normalization-based dedup of permuted/scaled/flipped rows, same-support
-// rhs dominance, age+activity eviction order, the fetch_new versioned log,
+// rhs dominance (the pool's only eviction), the fetch_new versioned log,
 // and concurrent insert/lookup from 4 threads (run under TSan in CI).
 #include <gtest/gtest.h>
 
@@ -54,6 +54,9 @@ TEST(CutPool, TighterRhsDominatesPooledRow) {
   EXPECT_FALSE(pool.add(row({{0, 1.0}}, 10.0)));
   EXPECT_EQ(pool.size(), 1u);
   EXPECT_EQ(pool.stats().dominated, 2);
+  // Only the replaced row left the active set; the log keeps both rows.
+  EXPECT_EQ(pool.stats().evicted, 1);
+  EXPECT_EQ(pool.log_size(), 2u);
   // The surviving row is the tight one: x0 = 4 violates x0 <= 3.
   const auto hits = pool.violated_at({4.0});
   ASSERT_EQ(hits.size(), 1u);
@@ -68,27 +71,6 @@ TEST(CutPool, ViolatedAtSkipsSatisfiedAndEqualCutsBothWays) {
   EXPECT_EQ(pool.violated_at({1.5, 2.0}).size(), 1u);  // x0 violated
   EXPECT_EQ(pool.violated_at({0.5, 0.0}).size(), 1u);  // x1 below
   EXPECT_EQ(pool.violated_at({0.5, 3.0}).size(), 1u);  // x1 above
-}
-
-TEST(CutPool, EvictionTakesIdleLowActivityOldestFirst) {
-  CutPool::Options o;
-  o.capacity = 2;
-  o.max_idle_rounds = 0;  // any idle round makes a row eligible
-  CutPool pool(o);
-  ASSERT_TRUE(pool.add(row({{0, 1.0}}, -1.0)));  // A
-  ASSERT_TRUE(pool.add(row({{1, 1.0}}, -1.0)));  // B
-  ASSERT_TRUE(pool.add(row({{2, 1.0}}, -1.0)));  // C
-  // Touch C so activity protects it at the tie-break.
-  EXPECT_EQ(pool.violated_at({-2.0, -2.0, 0.0}).size(), 1u);
-  // Over capacity: one eviction. A and B tie on idle and activity, so the
-  // oldest (A) goes.
-  pool.advance_round();
-  EXPECT_EQ(pool.size(), 2u);
-  EXPECT_EQ(pool.stats().evicted, 1);
-  // A (over var 0) no longer scans; B and C still do.
-  EXPECT_EQ(pool.violated_at({0.0, 0.0, 0.0}).size(), 2u);
-  // The log still remembers every admitted row.
-  EXPECT_EQ(pool.log_size(), 3u);
 }
 
 TEST(CutPool, FetchNewReturnsOnlyRowsPastVersion) {
@@ -125,7 +107,6 @@ TEST(CutPool, ConcurrentInsertAndLookupFourThreads) {
         if (i % 11 == t) {
           (void)pool.fetch_new(version);
         }
-        if (i % 50 == 0) pool.advance_round();
       }
     });
   }

@@ -1,7 +1,8 @@
 // Tests for the online admission-control service (src/svc): deterministic
-// replay across thread counts, tenant state transitions, arena/slab reuse on
-// the hot path, overload shedding, cross-epoch cut-pool carry,
-// fixed-duration expiry, and the hot path against the AC-RR slave.
+// replay across thread counts, tenant state transitions, typed rejection of
+// malformed arrivals and forecasts, slot reuse under churn, overload
+// shedding, fixed-duration expiry, from-scratch Benders re-solves, the
+// greedy repack, and the hot path against the AC-RR slave.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -181,6 +182,83 @@ TEST(SvcState, FixedDurationSliceExpiresAtTheTick) {
   EXPECT_EQ(svc.stats().shards.expiries, 1u);
 }
 
+TEST(SvcState, MalformedArrivalsAreRejectedTyped) {
+  // Each arrival carries one bad field. None may be admitted: a NaN σ̂ or
+  // penalty factor used to price v = NaN, which no margin test rejects,
+  // and a negative penalty factor priced v above the reward.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto embb = slice::SliceType::eMBB;
+  const std::vector<Event> bad = {
+      make_arrival(1, embb, 20.0, nan),
+      make_arrival(2, embb, 20.0, 0.2, nan),
+      make_arrival(3, embb, 20.0, 0.2, -3.0),
+      make_arrival(4, embb, nan, 0.2),
+      make_arrival(5, embb, inf, 0.2),
+      make_arrival(6, embb, -inf, 0.2),
+      make_arrival(7, embb, 20.0, inf),
+      make_arrival(8, embb, 20.0, 0.2, inf),
+      make_arrival(9, static_cast<slice::SliceType>(7), 20.0, 0.2),
+  };
+  Shard shard(mini(), ShardConfig{}, 0);
+  for (const Event& e : bad) {
+    const Decision d = shard.handle(e);
+    EXPECT_EQ(d.kind, DecisionKind::RejectedInvalid)
+        << "tenant " << e.tenant_id;
+    EXPECT_EQ(d.tenant_id, e.tenant_id);
+    EXPECT_EQ(d.z_total, 0.0);
+    EXPECT_EQ(d.value, 0.0);
+  }
+  EXPECT_STREQ(to_string(DecisionKind::RejectedInvalid), "rej-invalid");
+  EXPECT_EQ(shard.stats().arrivals, bad.size());
+  EXPECT_EQ(shard.stats().rejected_invalid, bad.size());
+  EXPECT_EQ(shard.stats().admitted, 0u);
+  EXPECT_EQ(shard.num_tenants(), 0u);
+
+  // Finite negative forecasts keep the clamp to 0 and are admitted, and a
+  // rejected id stays free.
+  const Decision ok = shard.handle(make_arrival(1, embb, -5.0, -0.1));
+  EXPECT_EQ(ok.kind, DecisionKind::Admitted);
+  EXPECT_TRUE(std::isfinite(ok.value));
+
+  ShardStats sum;
+  sum.accumulate(shard.stats());
+  sum.accumulate(shard.stats());
+  EXPECT_EQ(sum.rejected_invalid, 2 * bad.size());
+}
+
+TEST(SvcState, NonFiniteForecastKeepsTheDriftTrigger) {
+  // Two tenants whose forecasts drift by 20 Mbps, one per epoch: each
+  // drift exceeds the 0.25 threshold, so each tick re-solves. A λ̂ = +∞
+  // update in between must be ignored like a negative one; it used to
+  // turn the drift sum into NaN and switch the trigger off for good.
+  const auto run = [](bool with_inf) {
+    ShardConfig cfg;
+    Shard shard(mini(), cfg, 0);
+    std::vector<Decision> out;
+    const auto embb = slice::SliceType::eMBB;
+    EXPECT_EQ(shard.handle(make_arrival(1, embb, 20.0, 0.2)).kind,
+              DecisionKind::Admitted);
+    EXPECT_EQ(shard.handle(make_arrival(2, embb, 20.0, 0.2)).kind,
+              DecisionKind::Admitted);
+    EXPECT_EQ(shard.handle(make_demand_update(1, 10.0, 40.0)).kind,
+              DecisionKind::Updated);
+    shard.end_epoch(0, out);
+    if (with_inf) {
+      const Decision d = shard.handle(make_demand_update(
+          2, 10.0, std::numeric_limits<double>::infinity()));
+      EXPECT_EQ(d.kind, DecisionKind::Updated);
+    }
+    EXPECT_EQ(shard.handle(make_demand_update(2, 10.0, 40.0)).kind,
+              DecisionKind::Updated);
+    shard.end_epoch(1, out);
+    EXPECT_TRUE(out.empty());  // open-ended tenants never expire
+    return shard.stats().full_resolves;
+  };
+  EXPECT_EQ(run(false), 2u);
+  EXPECT_EQ(run(true), 2u);
+}
+
 TEST(SvcState, CapacityPressureForcesOverbookingThenRejection) {
   // One shard owning the full mini() plane: each admission reserves less
   // than Λ once the radio saturates (overbooking), and profit eventually
@@ -208,24 +286,22 @@ TEST(SvcState, CapacityPressureForcesOverbookingThenRejection) {
 
 // ----------------------------------------------------------- memory model
 
-TEST(SvcMemory, ArenaAndSlabReuseOnTheHotPath) {
+TEST(SvcMemory, SlotsAreReusedUnderChurn) {
   exec::ThreadPool pool(1);
   ServiceConfig cfg;
   cfg.num_shards = 1;
   AdmissionService svc(mini(), cfg, &pool);
 
-  // Warm up: a few admissions size the arena blocks and slab slots.
+  // Warm up: a few admissions create the tenant slots.
   for (std::uint64_t id = 1; id <= 8; ++id) {
     ASSERT_TRUE(svc.submit(make_arrival(id, slice::SliceType::eMBB, 10.0, 0.2)));
   }
   svc.drain();
-  const auto warm_arena = svc.shard(0).arena_stats();
-  const auto warm_slab = svc.shard(0).slab_stats();
-  EXPECT_GT(warm_arena.blocks, 0u);
+  const std::size_t warm_slots = svc.shard(0).slot_capacity();
+  EXPECT_EQ(warm_slots, 8u);
 
-  // Steady state: churn admissions/departures. The arena must not grow a
-  // single new block (reset() reuse) and every freed slab slot must be
-  // recycled instead of extending the slab.
+  // Steady state: churn admissions/departures. Every freed slot must be
+  // reused instead of appending a new one.
   for (std::uint64_t id = 1; id <= 8; ++id) {
     ASSERT_TRUE(svc.submit(make_departure(id)));
   }
@@ -236,15 +312,11 @@ TEST(SvcMemory, ArenaAndSlabReuseOnTheHotPath) {
     for (std::uint64_t id = 100 + round * 10; id < 108 + round * 10; ++id) {
       ASSERT_TRUE(svc.submit(make_departure(id)));
     }
+    svc.drain();
+    EXPECT_EQ(svc.shard(0).slot_capacity(), warm_slots) << "round " << round;
   }
-  svc.drain();
-  const auto steady_arena = svc.shard(0).arena_stats();
-  const auto steady_slab = svc.shard(0).slab_stats();
-  EXPECT_EQ(steady_arena.blocks, warm_arena.blocks);
-  EXPECT_EQ(steady_arena.capacity_bytes, warm_arena.capacity_bytes);
-  EXPECT_GT(steady_arena.resets, warm_arena.resets);
-  EXPECT_EQ(steady_slab.capacity, warm_slab.capacity);  // no new slots
-  EXPECT_GT(steady_slab.reused, 0u);
+  EXPECT_EQ(svc.stats().shards.admitted, 8u + 20u * 8u);
+  EXPECT_EQ(svc.shard(0).num_tenants(), 0u);
 }
 
 // ------------------------------------------------------- overload shedding
@@ -311,6 +383,47 @@ TEST(SvcResolve, UnchangedShardResolvesFromScratch) {
   EXPECT_EQ(s.cuts_separated, 2 * first.cuts_separated);
   for (std::uint64_t id = 1; id <= 4; ++id) {
     EXPECT_EQ(svc.shard(0).reservation_total(id), z_first[id - 1]) << id;
+  }
+}
+
+TEST(SvcResolve, GreedyRepackReproducesHotPathTotals) {
+  // With no departures the repack re-prices the admission LPs in the same
+  // slot order against a ledger rebuilt in that order, so every tenant
+  // gets back the Σz it was admitted with.
+  exec::ThreadPool pool(1);
+  ServiceConfig cfg;
+  cfg.num_shards = 1;
+  cfg.shard.max_resolve_tenants = 0;  // every re-solve takes the repack
+  cfg.shard.full_resolve_every = 1;
+  AdmissionService svc(mini(), cfg, &pool);
+  const slice::SliceType kinds[3] = {slice::SliceType::eMBB,
+                                     slice::SliceType::mMTC,
+                                     slice::SliceType::uRLLC};
+  for (std::uint64_t id = 1; id <= 9; ++id) {
+    const slice::SliceType type = kinds[id % 3];
+    const double sla = slice::standard_template(type).sla_rate;
+    const double lambda_hat = 0.1 * static_cast<double>(id) * sla;
+    ASSERT_TRUE(svc.submit(make_arrival(id, type, lambda_hat, 0.3, 2.0,
+                                        id % 2 == 0 ? 3 : 0)));
+  }
+  svc.drain();
+  std::vector<double> z_admit;
+  std::size_t admitted = 0;
+  for (const Decision& d : svc.decisions()) {
+    admitted += d.kind == DecisionKind::Admitted;
+    z_admit.push_back(d.kind == DecisionKind::Admitted ? d.z_total : -1.0);
+  }
+  ASSERT_GE(admitted, 5u);
+
+  ASSERT_TRUE(svc.submit(make_epoch_tick()));
+  svc.drain();
+  const ShardStats& s = svc.shard(0).stats();
+  EXPECT_EQ(s.greedy_repacks, 1u);
+  EXPECT_EQ(s.full_resolves, 0u);
+  EXPECT_EQ(s.expiries, 0u);
+  for (std::uint64_t id = 1; id <= 9; ++id) {
+    EXPECT_NEAR(svc.shard(0).reservation_total(id), z_admit[id - 1], 1e-9)
+        << "tenant " << id;
   }
 }
 
