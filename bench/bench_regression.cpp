@@ -221,7 +221,7 @@ void run_convergence(double scale, std::size_t tenants,
 // ---------------------------------------------------------------------------
 // solver/milp_heuristics — ISSUE 10 acceptance: on a node-limited weakly
 // correlated knapsack at m >= 1000 variables (BM_MilpFirstFeasible's family),
-// pseudocost branching + RENS/LNS must reach the first incumbent with less
+// pseudocost branching + RENS must reach the first incumbent with less
 // search work and no proven-gap regression versus the historical
 // most-fractional rule at the same budget. Both solves pin threads=1 so
 // every counter is a pure function of the config; the checker derives the
@@ -265,7 +265,6 @@ void run_milp_heuristics(int n, int rows, long max_nodes,
   MilpOptions on = off;
   on.branching = BranchRule::Pseudocost;
   on.rens_heuristic = true;
-  on.lns_interval = 200;
   const auto t1 = std::chrono::steady_clock::now();
   const MilpResult heur = solve_milp(m, on);
   timing["heuristics_ms"] = now_ms(t1);
@@ -439,13 +438,13 @@ std::vector<Case> make_catalog() {
 
   cat.push_back({"solver/milp_heuristics_n1000", "smoke",
                  "bnb_knapsack n=1000 rows=3 seed=23 max_nodes=2000 "
-                 "pseudocost rel=4 rens lns=200 threads=1",
+                 "pseudocost rel=4 rens threads=1",
                  [](json::Object& c, json::Object& t) {
                    run_milp_heuristics(1000, 3, 2000, c, t);
                  }});
   cat.push_back({"solver/milp_heuristics_n2000", "full",
                  "bnb_knapsack n=2000 rows=4 seed=23 max_nodes=4000 "
-                 "pseudocost rel=4 rens lns=200 threads=1",
+                 "pseudocost rel=4 rens threads=1",
                  [](json::Object& c, json::Object& t) {
                    run_milp_heuristics(2000, 4, 4000, c, t);
                  }});

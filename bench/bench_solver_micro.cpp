@@ -461,7 +461,6 @@ void BM_MilpFirstFeasible(benchmark::State& state) {
   if (heur) {
     opts.branching = BranchRule::Pseudocost;
     opts.rens_heuristic = true;
-    opts.lns_interval = 200;
   }
   long first = -1;
   long heur_incumbents = 0;

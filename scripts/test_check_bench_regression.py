@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Unit tests for the timing-field classification of check_bench_regression.py
-and for the report shape docs/benchmarks.md documents.
+"""Unit tests for the timing-field classification of check_bench_regression.py,
+its solver/milp_heuristics_* gates and the report shape docs/benchmarks.md
+documents.
 
 Run from the repository root:
 
@@ -62,6 +63,55 @@ class TimingClassification(unittest.TestCase):
 
     def test_percentile_is_informational(self):
         self.assertFalse(checker.gated_timing_field("p99_us", 500.0))
+
+
+def heuristics_failures(**overrides):
+    """milp_heuristics_gates on one case shaped like the pinned n2000 entry,
+    with `overrides` applied to its correctness fields."""
+    cc = {"def_first_incumbent_nodes": 1447,
+          "def_gap": 0.00035488222872036344,
+          "heur_first_incumbent_nodes": 1447,
+          "heur_gap": 0.00035478674841447357,
+          "heur_status": "feasible",
+          "heuristic_incumbents": 1,
+          "strong_probes": 800}
+    cc.update(overrides)
+    failures = []
+    checker.milp_heuristics_gates(
+        {"cases": [{"name": "solver/milp_heuristics_n2000",
+                    "correctness": cc}]}, failures)
+    return failures
+
+
+class MilpHeuristicsGates(unittest.TestCase):
+    def test_pinned_shape_passes(self):
+        self.assertEqual(heuristics_failures(), [])
+
+    def test_equal_gap_passes(self):
+        gap = 0.00035488222872036344
+        self.assertEqual(heuristics_failures(heur_gap=gap, def_gap=gap), [])
+
+    def test_gap_beyond_slack_fails(self):
+        gap = 0.00035488222872036344
+        failures = heuristics_failures(heur_gap=gap + 2e-6, def_gap=gap)
+        self.assertEqual(len(failures), 1)
+        self.assertIn("proven gap regressed", failures[0])
+
+    def test_null_default_gap_passes(self):
+        # The default rule proved no gap at all: nothing to regress against.
+        self.assertEqual(heuristics_failures(def_gap=None,
+                                             def_first_incumbent_nodes=-1),
+                         [])
+
+    def test_no_heuristic_incumbent_fails(self):
+        failures = heuristics_failures(heuristic_incumbents=0)
+        self.assertEqual(len(failures), 1)
+        self.assertIn("no heuristic incumbent", failures[0])
+
+    def test_later_first_incumbent_fails(self):
+        failures = heuristics_failures(heur_first_incumbent_nodes=1448)
+        self.assertEqual(len(failures), 1)
+        self.assertIn("later than the default rule", failures[0])
 
 
 class ReportSchema(unittest.TestCase):

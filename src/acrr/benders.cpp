@@ -356,8 +356,8 @@ AdmissionResult solve_benders_single_tree(const AcrrInstance& inst,
   // One tree gets the whole Benders budget (the classic loop splits it
   // into per-iteration master solves).
   mopts.time_limit_sec = opts.time_limit_sec;
-  // Root fractional separation is intrinsic to the mode (SCIP's benderslp).
-  mopts.benders_lp_cuts = true;
+  // Setting lazy_cuts also runs root fractional separation (SCIP's
+  // benderslp), which is intrinsic to the mode.
   mopts.lazy_cuts = [&](const LazyCutContext& ctx) -> LazyCutResult {
     LazyCutResult out;
     const std::vector<char> active = detail::extract_active(master, ctx.x);

@@ -119,7 +119,7 @@ SubDiveResult fix_and_dive(LpSession& sess, const std::vector<int>& int_vars,
 
     // Dead end: backtrack to the deepest level with an untried
     // alternative. Validity of the alternative is checked against the
-    // box *after* popping the level's frame — an enclosing RENS/LNS
+    // box *after* popping the level's frame — an enclosing RENS
     // restriction may have shrunk it to a single value.
     bool resumed = false;
     while (!stack.empty()) {
@@ -157,22 +157,6 @@ long rens_restrict(LpSession& sess, const std::vector<int>& int_vars,
       sess.set_bounds(j, std::max(var.lower, std::floor(v)),
                       std::min(var.upper, std::ceil(v)));
     }
-  }
-  return fixed;
-}
-
-long lns_restrict(LpSession& sess, const std::vector<int>& int_vars,
-                  const std::vector<double>& incumbent,
-                  const std::function<bool(int)>& destroy) {
-  long fixed = 0;
-  for (int j : int_vars) {
-    if (destroy(j)) continue;
-    const auto& var = sess.model().variable(j);
-    const double pin = std::clamp(
-        std::round(incumbent[static_cast<std::size_t>(j)]), var.lower,
-        var.upper);
-    sess.set_bounds(j, pin, pin);
-    ++fixed;
   }
   return fixed;
 }

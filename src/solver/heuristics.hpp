@@ -1,14 +1,13 @@
 // Primal heuristics for the branch-and-bound MILP solver: the bounded
-// fix-and-dive sub-search that powers RENS and LNS.
+// fix-and-dive sub-search that powers RENS.
 //
-// Both heuristics follow the same shape (SCIP's rens/alns idea, adapted to
-// the LpSession frame API):
+// RENS (SCIP's rens idea, adapted to the LpSession frame API) runs once at
+// the root:
 //
 //   1. open a session frame (push());
-//   2. restrict the integer box — RENS fixes every variable that is
-//      near-integral in the root LP relaxation and shrinks the rest to
-//      [floor, ceil] of their LP value; LNS fixes a random-but-seeded
-//      subset of variables to the current incumbent and frees the rest;
+//   2. restrict the integer box — fix every variable that is near-integral
+//      in the root LP relaxation and shrink the rest to [floor, ceil] of
+//      its LP value (rens_restrict);
 //   3. run fix_and_dive(): a depth-first fix-to-nearest dive WITH
 //      backtracking over the restricted sub-MILP, under a hard LP-solve
 //      budget, pruned against the incumbent cutoff;
@@ -72,7 +71,7 @@ struct SubDiveResult {
 };
 
 /// Depth-first fix-and-dive over the session's CURRENT model state (the
-/// caller applies its RENS/LNS restriction in an enclosing frame first):
+/// caller applies its RENS restriction in an enclosing frame first):
 /// repeatedly fix the most fractional integer variable to its nearest
 /// value in a fresh frame; on a dead end (infeasible LP or bound past the
 /// cutoff) backtrack and try the adjacent integer once before giving up on
@@ -89,14 +88,5 @@ struct SubDiveResult {
 /// variables were hard-fixed.
 long rens_restrict(LpSession& sess, const std::vector<int>& int_vars,
                    const std::vector<double>& x);
-
-/// Apply an LNS restriction inside the caller's open frame: each integer
-/// variable is fixed to its (rounded) incumbent value unless selected into
-/// the destroy set. `destroy(j)` decides membership — callers seed it
-/// deterministically (RngStream::derive on the LNS run index). Returns how
-/// many variables stayed fixed.
-long lns_restrict(LpSession& sess, const std::vector<int>& int_vars,
-                  const std::vector<double>& incumbent,
-                  const std::function<bool(int)>& destroy);
 
 }  // namespace ovnes::solver

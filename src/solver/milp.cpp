@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <cstdio>
-#include <cstdlib>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -11,7 +9,6 @@
 #include <optional>
 #include <tuple>
 
-#include "common/rng.hpp"
 #include "exec/thread_pool.hpp"
 #include "solver/cut_pool.hpp"
 #include "solver/heuristics.hpp"
@@ -54,19 +51,11 @@ namespace {
 /// Per-probe LP pivot cap of a strong-branching probe; a truncated dual
 /// probe still yields a valid degradation lower bound.
 constexpr int kStrongProbeIterations = 200;
-/// Fractional root separation rounds under MilpOptions::benders_lp_cuts.
+/// Fractional root separation rounds of a MilpOptions::lazy_cuts solve.
 constexpr int kMaxLpCutRounds = 8;
 /// Integral-candidate separation rounds per node (and per heuristic dive);
 /// hitting it drops the node conservatively.
 constexpr int kMaxSeparationRounds = 64;
-/// Fraction of integer variables freed ("destroyed") per LNS episode.
-constexpr double kLnsDestroyFraction = 0.25;
-
-/// OVNES_MILP_DEBUG, read once per process.
-bool milp_debug() {
-  static const bool on = std::getenv("OVNES_MILP_DEBUG") != nullptr;
-  return on;
-}
 
 struct Node {
   // Bound overrides relative to the root model: (var, lower, upper).
@@ -150,8 +139,6 @@ struct BnbShared {
   std::vector<double> best_x;
   long nodes = 0;
   long lp_iterations = 0;
-  long lns_next = 0;  ///< node count that triggers the next LNS episode
-  long lns_runs = 0;  ///< episodes started (seeds the destroy stream)
   bool hit_limit = false;
   bool unbounded = false;
   bool root_solved = false;
@@ -211,7 +198,7 @@ void round_integers(const std::vector<int>& int_vars, std::vector<double>& x) {
 
 /// Install a strictly better incumbent and keep the anytime counters.
 /// Caller holds sh.mu (or runs in the serial pre-lane phase, where no
-/// other thread can observe the fields). `heuristic` marks dive/RENS/LNS
+/// other thread can observe the fields). `heuristic` marks dive/RENS
 /// sources for the heuristic_incumbents counter.
 void install_incumbent(BnbShared& sh, double obj, const std::vector<double>& x,
                        bool heuristic) {
@@ -387,141 +374,12 @@ SeparationStep separate_candidate(BnbShared& sh, const LpResult& lp,
   return step;
 }
 
-/// Shared tail of a heuristic episode (RENS at the root, LNS re-runs from
-/// the incumbent): budgeted fix-and-dive on the session's restricted
-/// frame, integral candidates routed through the lazy-cut acceptance gate
-/// (a heuristic incumbent passes the exact same verification as a tree
-/// candidate), bookkeeping folded into sh under mu. The caller owns the
-/// enclosing restriction frame; cuts the gate appends land inside the
-/// dive's nested frames (permanent copies reach every lane via the pool).
-/// Returns true when an incumbent was installed.
-bool run_heuristic_dive(BnbShared& sh, LpSession& sess, double cutoff) {
-  const MilpOptions& opts = sh.opts;
-  long gate_fresh = 0, gate_pool = 0, gate_rounds = 0;
-  const AcceptGate gate = [&](const LpResult& cand) {
-    SeparationStep s = separate_candidate(sh, cand, true);
-    gate_rounds += s.called ? 1 : 0;
-    gate_fresh += s.fresh;
-    gate_pool += s.from_pool ? static_cast<long>(s.rows.size()) : 0;
-    if (s.abandon) return GateVerdict::Abandon;
-    if (s.rows.empty()) return GateVerdict::Accept;
-    for (Rowdef& r : s.rows) sess.add_cut(std::move(r));
-    return GateVerdict::Reject;
-  };
-  SubDiveOptions dopts;
-  dopts.cutoff = cutoff;
-  dopts.max_gate_rounds = kMaxSeparationRounds;
-  {
-    std::lock_guard<std::mutex> lk(sh.mu);
-    dopts.max_lp_solves =
-        std::min(opts.heur_node_budget, std::max(0L, opts.max_nodes - sh.nodes));
-  }
-  dopts.should_stop = [&sh] {
-    if (elapsed_sec(sh.t0) > sh.opts.time_limit_sec) return true;
-    std::lock_guard<std::mutex> lk(sh.mu);
-    return sh.done;
-  };
-  const long it0 = sess.stats().iterations;
-  const SubDiveResult sub = fix_and_dive(sess, sh.int_vars, dopts,
-                                         sh.cuts != nullptr ? &gate : nullptr);
-  bool installed = false;
-  {
-    std::lock_guard<std::mutex> lk(sh.mu);
-    sh.nodes += sub.lp_solves;  // heuristic LPs consume node budget
-    sh.lp_iterations += sess.stats().iterations - it0;
-    sh.stats.separation_rounds += gate_rounds;
-    sh.stats.cuts_separated += gate_fresh;
-    sh.stats.cuts_from_pool += gate_pool;
-    if (sub.abandoned) {
-      // Heuristic-found-but-unverified candidate: fold conservatively —
-      // the point was discarded, and the solve can no longer claim
-      // Optimal on a tree whose separation oracle failed mid-run (the
-      // same accounting as an abandoned lane node).
-      sh.hit_limit = true;
-    }
-    if (sub.found && sub.objective < sh.incumbent) {
-      install_incumbent(sh, sub.objective, sub.x, /*heuristic=*/true);
-      installed = true;
-    }
-  }
-  return installed;
-}
-
-/// One LNS episode: fix a seeded subset of integer variables to the
-/// incumbent (destroy fraction freed), fix-and-dive the rest under the
-/// heuristic budget with the incumbent objective as cutoff. Runs on the
-/// claiming lane's own session between nodes (frame-scoped; pool cuts
-/// synced first) and releases its in_flight slot when done.
-void lns_episode(BnbShared& sh, std::optional<LpSession>& sess,
-                 std::size_t& pool_version, long run_idx, double cutoff,
-                 const std::vector<double>& incumbent) {
-  const MilpOptions& opts = sh.opts;
-  int depth0 = 0;
-  try {
-    if (!sess.has_value()) {
-      SimplexOptions lane_lp = opts.lp;
-      lane_lp.keep_factors = false;
-      sess.emplace(*sh.base, lane_lp);
-    }
-    if (sh.cuts != nullptr) {
-      auto fresh_rows = sh.cuts->fetch_new(pool_version);
-      for (Rowdef& r : fresh_rows) sess->add_cut(std::move(r));
-    }
-    depth0 = sess->depth();
-    // Destroy set: a pure function of the episode index, independent of
-    // which lane claims it (RngStream::derive splittability contract).
-    RngStream rng = RngStream(0x6f766e65736c6e73ULL)  // "ovneslns"
-                        .derive("lns", static_cast<std::uint64_t>(run_idx));
-    sess->push();
-    lns_restrict(*sess, sh.int_vars, incumbent,
-                 [&](int) { return rng.flip(kLnsDestroyFraction); });
-    run_heuristic_dive(sh, *sess, cutoff);
-    sess->pop();
-  } catch (...) {
-    std::lock_guard<std::mutex> lk(sh.mu);
-    if (sh.error == nullptr) sh.error = std::current_exception();
-    sh.done = true;
-  }
-  // Unwind a frame left open by a throw so the lane's next node still
-  // evaluates on the root box.
-  if (sess.has_value()) {
-    while (sess->depth() > depth0) sess->pop();
-  }
-  std::lock_guard<std::mutex> lk(sh.mu);
-  --sh.in_flight;
-  sh.cv.notify_all();
-}
-
-/// OVNES_MILP_DEBUG diagnostics for an integral node whose solution still
-/// violates the model. `work` carries the node's bounds (still applied).
-void debug_integral_violation(const LpModel& work, const MilpOptions& opts,
-                              const LpResult& lp) {
-  std::fprintf(stderr, "MILP DEBUG: integral node violates by %g (obj %g)\n",
-               work.max_violation(lp.x), lp.objective);
-  SimplexOptions strict = opts.lp;
-  strict.refresh_interval = 1;
-  const LpResult lp2 = solve_lp(work, strict);
-  std::fprintf(stderr, "  strict resolve: status=%s obj=%g viol=%g\n",
-               to_string(lp2.status), lp2.objective,
-               lp2.status == LpStatus::Optimal ? work.max_violation(lp2.x) : -1.0);
-  // Dump the model for offline replay.
-  FILE* f = std::fopen("/tmp/fail_lp.txt", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "  (model dump skipped: /tmp/fail_lp.txt not writable)\n");
-    return;
-  }
-  std::fprintf(f, "%d %d\n", work.num_vars(), work.num_rows());
-  for (int j = 0; j < work.num_vars(); ++j) {
-    const auto& v = work.variable(j);
-    std::fprintf(f, "v %.17g %.17g %.17g\n", v.lower, v.upper, v.cost);
-  }
-  for (int i = 0; i < work.num_rows(); ++i) {
-    const auto& r = work.row(i);
-    std::fprintf(f, "r %d %.17g %zu", (int)r.sense, r.rhs, r.coefs.size());
-    for (const auto& c : r.coefs) std::fprintf(f, " %d %.17g", c.var, c.value);
-    std::fprintf(f, "\n");
-  }
-  std::fclose(f);
+/// Fold one step's counters into `stats` — for the serial pre-lane
+/// heuristics, which need no lock (lanes batch theirs under sh.mu).
+void count_step(SolveStats& stats, const SeparationStep& s) {
+  stats.separation_rounds += s.called ? 1 : 0;
+  stats.cuts_separated += s.fresh;
+  stats.cuts_from_pool += s.from_pool ? static_cast<long>(s.rows.size()) : 0;
 }
 
 /// Evaluate one popped node (its in_flight slot is held by the caller):
@@ -591,10 +449,6 @@ bool evaluate_node(BnbShared& sh, Node& node,
   int frac = -1;
   if (lp_ptr->status == LpStatus::Optimal) {
     frac = choose_branch(sh, sess->model(), *lp_ptr, child_basis, probe_iters);
-    if (frac < 0 && milp_debug() &&
-        sess->model().max_violation(lp_ptr->x) > 1e-5) {
-      debug_integral_violation(sess->model(), opts, *lp_ptr);
-    }
   }
 
   // ---- Lazy separation. Cuts are appended *in-frame*: they steer
@@ -619,7 +473,7 @@ bool evaluate_node(BnbShared& sh, Node& node,
     };
     // Fractional root rounds (SCIP's benderslp idea): tighten the root
     // bound with callback cuts before any branching happens.
-    if (opts.benders_lp_cuts && node.fixes.empty()) {
+    if (node.fixes.empty()) {
       for (int round = 0; round < kMaxLpCutRounds; ++round) {
         if (frac < 0 || lp_ptr->status != LpStatus::Optimal) break;
         if (elapsed_sec(sh.t0) > opts.time_limit_sec) break;
@@ -761,29 +615,6 @@ void bnb_lane(const std::shared_ptr<BnbShared>& sh) {
   std::size_t pool_version = 0;   // cut-pool log position this lane synced
 
   for (;;) {
-    // Periodic LNS re-runs from the current incumbent: whichever lane
-    // first observes the node count crossing the threshold claims the
-    // episode (the claimed in_flight slot keeps the search alive while it
-    // runs) and executes it on its own session between nodes.
-    if (opts.lns_interval > 0) {
-      long run_idx = -1;
-      double cutoff = kInf;
-      std::vector<double> incumbent;
-      {
-        std::lock_guard<std::mutex> lk(sh->mu);
-        if (!sh->done && !sh->best_x.empty() && sh->nodes >= sh->lns_next &&
-            sh->nodes < opts.max_nodes) {
-          sh->lns_next = sh->nodes + opts.lns_interval;
-          run_idx = sh->lns_runs++;
-          cutoff = sh->incumbent;
-          incumbent = sh->best_x;
-          ++sh->in_flight;
-        }
-      }
-      if (run_idx >= 0) {
-        lns_episode(*sh, sess, pool_version, run_idx, cutoff, incumbent);
-      }
-    }
     Node node;
     {
       std::unique_lock<std::mutex> lk(sh->mu);
@@ -882,9 +713,6 @@ class BranchAndBound {
     bool dive_hit_limit = false;
     if (opts_.dive_heuristic) dive(*sh, dive_hit_limit);
     if (opts_.rens_heuristic) rens(*sh);
-    // First LNS episode fires lns_interval nodes after the serial phase
-    // (the heuristics above already consumed node budget).
-    sh->lns_next = sh->nodes + opts_.lns_interval;
 
     Node root;
     root.warm = sh->root_warm;
@@ -987,10 +815,7 @@ class BranchAndBound {
           // session (no frames here) and in the pool for the lanes.
           if (sep_rounds >= kMaxSeparationRounds) return;
           SeparationStep s = separate_candidate(sh, *lp, true);
-          sh.stats.separation_rounds += s.called ? 1 : 0;
-          sh.stats.cuts_separated += s.fresh;
-          sh.stats.cuts_from_pool +=
-              s.from_pool ? static_cast<long>(s.rows.size()) : 0;
+          count_step(sh.stats, s);
           if (s.abandon) {
             // Heuristic-found-but-unverified candidate: discard it AND
             // record the truncation — the separation oracle failed
@@ -1007,11 +832,6 @@ class BranchAndBound {
             continue;  // re-solve with the cuts enforced
           }
         }
-        if (milp_debug() &&
-            sess.model().max_violation(lp->x) > 1e-5) {
-          std::fprintf(stderr, "MILP DEBUG dive: violates by %g (obj %g)\n",
-                       sess.model().max_violation(lp->x), lp->objective);
-        }
         install_incumbent(sh, lp->objective, lp->x, /*heuristic=*/true);
         return;
       }
@@ -1026,7 +846,11 @@ class BranchAndBound {
   /// the restricted sub-MILP under the heuristic budget. Where the plain
   /// dive dead-ends on the first infeasible rounding, the backtracking
   /// sub-search recovers — the time-to-first-feasible lever on the hard
-  /// multi-knapsack instances. Runs serially before the lanes start.
+  /// multi-knapsack instances. Integral candidates pass the lazy-cut
+  /// acceptance gate (a heuristic incumbent gets the exact same
+  /// verification as a tree candidate); cuts the gate appends land inside
+  /// the dive's nested frames, their permanent copies reach the lanes via
+  /// the pool. Runs serially before the lanes start, so sh needs no lock.
   void rens(BnbShared& sh) const {
     if (int_vars_.empty()) return;
     if (sh.nodes >= opts_.max_nodes ||
@@ -1052,8 +876,33 @@ class BranchAndBound {
     const std::vector<double> root_x = root->x;  // dive solves invalidate *root
     sess.push();
     rens_restrict(sess, int_vars_, root_x);
-    run_heuristic_dive(sh, sess, sh.incumbent);
+    const AcceptGate gate = [&](const LpResult& cand) {
+      SeparationStep s = separate_candidate(sh, cand, true);
+      count_step(sh.stats, s);
+      if (s.abandon) return GateVerdict::Abandon;
+      if (s.rows.empty()) return GateVerdict::Accept;
+      for (Rowdef& r : s.rows) sess.add_cut(std::move(r));
+      return GateVerdict::Reject;
+    };
+    SubDiveOptions dopts;
+    dopts.cutoff = sh.incumbent;
+    dopts.max_gate_rounds = kMaxSeparationRounds;
+    dopts.max_lp_solves = std::min(opts_.heur_node_budget,
+                                   std::max(0L, opts_.max_nodes - sh.nodes));
+    dopts.should_stop = [&sh] {
+      return elapsed_sec(sh.t0) > sh.opts.time_limit_sec;
+    };
+    const long it0 = sess.stats().iterations;
+    const SubDiveResult sub = fix_and_dive(sess, int_vars_, dopts,
+                                           sh.cuts != nullptr ? &gate : nullptr);
+    sh.nodes += sub.lp_solves;  // heuristic LPs consume node budget
+    sh.lp_iterations += sess.stats().iterations - it0;
     sess.pop();
+    // A heuristic-found-but-unverified candidate was discarded, and the
+    // solve can no longer claim Optimal on a tree whose separation oracle
+    // failed mid-run (the same accounting as an abandoned lane node).
+    if (sub.abandoned) sh.hit_limit = true;
+    if (sub.found) install_incumbent(sh, sub.objective, sub.x, /*heuristic=*/true);
   }
 
   const LpModel& base_;

@@ -42,7 +42,7 @@ struct LazyCutContext {
   const std::vector<double>& x;  ///< candidate solution (structural vars)
   double objective = 0.0;        ///< its LP objective
   /// True for an integer-feasible candidate (acceptance gate), false for a
-  /// fractional point (root rounds under MilpOptions::benders_lp_cuts).
+  /// fractional root point (the root rounds that come with lazy_cuts).
   bool integral = true;
 };
 
@@ -64,8 +64,8 @@ struct LazyCutResult {
 };
 
 /// Lazy-constraint callback (single-tree Branch-and-Benders-cut): invoked
-/// when a lane finds an integer-feasible candidate — and, with
-/// MilpOptions::benders_lp_cuts, on fractional root points — returning the
+/// when a lane finds an integer-feasible candidate — and on fractional
+/// root points before the root branches — returning the
 /// violated rows that cut it off, or an empty set to accept it. Calls are
 /// serialized by the solver (one lane separates at a time), so the callback
 /// may keep per-decomposition state (slave sessions, core points) without
@@ -109,7 +109,7 @@ struct SolveStats {
   /// candidates; bounded by MilpOptions::max_strong_probes.
   long strong_probes = 0;
   // -- Primal-heuristic observability.
-  /// Incumbents installed by a heuristic (root dive, RENS, LNS) rather
+  /// Incumbents installed by a heuristic (root dive, RENS) rather
   /// than by tree search.
   long heuristic_incumbents = 0;
   /// Value of `nodes` when the first incumbent (from any source) was
@@ -176,15 +176,9 @@ struct MilpOptions {
   /// to their rounding box, and run a budgeted fix-and-dive sub-search;
   /// an accepted point seeds/improves the incumbent.
   bool rens_heuristic = false;
-  /// LP-solve budget per heuristic episode (RENS run or LNS re-run); each
-  /// solve consumed also counts toward max_nodes like a dive step.
+  /// LP-solve budget of the RENS sub-search; each solve consumed also
+  /// counts toward max_nodes like a dive step.
   long heur_node_budget = 400;
-  /// Re-run an LNS neighborhood search from the current incumbent every
-  /// `lns_interval` nodes (0 disables). Each run fixes a deterministic
-  /// seeded subset of integers (a quarter freed) to the incumbent and
-  /// dives the rest under heur_node_budget, with the incumbent objective
-  /// as cutoff.
-  long lns_interval = 0;
   /// Branch-and-bound lanes: 0 picks exec::default_threads() (the
   /// OVNES_THREADS environment default), 1 is fully serial/deterministic,
   /// n > 1 evaluates up to n nodes concurrently. The parallel search
@@ -211,13 +205,13 @@ struct MilpOptions {
   /// cuts get separated, in which order) depends on lane interleaving —
   /// determinism is explicitly relaxed; objective correctness is not
   /// (incumbents are separation-verified, bounds stay valid).
+  ///
+  /// Fractional root points are separated too (SCIP's `benderslp`, always
+  /// on with Benders): before branching at the root, up to 8 callback
+  /// rounds with integral=false tighten the root bound. Integral
+  /// candidates get at most 64 separation rounds per node; hitting that
+  /// drops the node conservatively (never claims Optimal past it).
   LazyCutCallback lazy_cuts;
-  /// Also separate *fractional* root points (SCIP's `benderslp` idea):
-  /// before branching at the root, run up to 8 callback rounds with
-  /// integral=false to tighten the root bound. Integral candidates get at
-  /// most 64 separation rounds per node; hitting that drops the node
-  /// conservatively (never claims Optimal past it).
-  bool benders_lp_cuts = false;
   SimplexOptions lp;
 };
 

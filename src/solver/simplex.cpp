@@ -1,8 +1,6 @@
 #include "solver/simplex.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -34,12 +32,9 @@ constexpr double kPivotTol = 1e-9;  ///< minimum pivot magnitude
 /// lanes): refactorize after at most this many product-form updates (see
 /// build_core).
 constexpr int kRefactorInterval = 64;
-
-/// OVNES_SIMPLEX_DEBUG, read once per process.
-bool simplex_debug() {
-  static const bool on = std::getenv("OVNES_SIMPLEX_DEBUG") != nullptr;
-  return on;
-}
+/// Pivots between from-scratch recomputations of x_B (the periodic drift
+/// check of the primal and dual loops).
+constexpr int kRefreshInterval = 64;
 
 /// Internal solver state over the equality system  A x + I s = b  where the
 /// column space is [structural | slacks | artificials].
@@ -194,10 +189,6 @@ class Simplex {
           const double scale = 1.0 + std::abs(b_[static_cast<size_t>(v - n_ - m_)]);
           infeas += std::abs(xb_[static_cast<size_t>(i)]) / scale;
         }
-      }
-      if (debug_) {
-        std::fprintf(stderr, "PHASE1 end: status=%d infeas=%g tol=%g\n", (int)p1,
-                     infeas, kFeasTol);
       }
       if (infeas > kFeasTol) {
         res.status = LpStatus::Infeasible;
@@ -954,7 +945,7 @@ class Simplex {
         reprice();
       }
 
-      if ((iter + 1) % opts_.refresh_interval == 0) {
+      if ((iter + 1) % kRefreshInterval == 0) {
         // Same periodic drift control as the primal loop, which also
         // re-certifies the incrementally maintained duals.
         std::vector<double> saved = xb_;
@@ -1148,24 +1139,7 @@ class Simplex {
         refresh_basics();
       }
 
-      if (debug_) {
-        std::vector<double> saved = xb_;
-        refresh_basics();
-        double dmax = 0.0;
-        for (int i = 0; i < m_; ++i) dmax = std::max(dmax, std::abs(saved[static_cast<size_t>(i)] - xb_[static_cast<size_t>(i)]));
-        if (dmax > 1e-6) {
-          std::fprintf(stderr, "SIMPLEX DEBUG iter=%d drift=%g q=%d leave=%d t=%g\n",
-                       iter, dmax, q, leave, t_max);
-        }
-        // feasibility of basics
-        for (int i = 0; i < m_; ++i) {
-          const int bv = basis_[static_cast<size_t>(i)];
-          if (xb_[static_cast<size_t>(i)] < lower(bv) - 1e-6 || xb_[static_cast<size_t>(i)] > upper(bv) + 1e-6) {
-            std::fprintf(stderr, "SIMPLEX DEBUG iter=%d basic %d out of bounds: %g not in [%g,%g] (phase1=%d)\n",
-                         iter, bv, xb_[static_cast<size_t>(i)], lower(bv), upper(bv), (int)phase1_);
-          }
-        }
-      } else if ((iter + 1) % opts_.refresh_interval == 0) {
+      if ((iter + 1) % kRefreshInterval == 0) {
         // Periodic drift control: recompute x_B from scratch and compare
         // with the incrementally updated values. Disagreement beyond
         // round-off means the factorization itself has drifted (long eta
@@ -1218,10 +1192,6 @@ class Simplex {
         basis_[static_cast<size_t>(i)] = pick;
         status_[static_cast<size_t>(pick)] = VarStatus::Basic;
         const double keep = xb_[static_cast<size_t>(i)];
-        if (debug_) {
-          std::fprintf(stderr, "DRIVEOUT row=%d art=%d pick=%d piv=%g keep=%g t=%g\n",
-                       i, bv, pick, piv, keep, keep / piv);
-        }
         // The artificial leaves at value `keep` (≈ 0 after a successful
         // phase 1); the entering variable moves by keep/piv off its bound.
         xb_[static_cast<size_t>(i)] = nonbasic_value(pick) + keep / piv;
@@ -1315,7 +1285,6 @@ class Simplex {
   SimplexOptions opts_;
   const Basis* warm_ = nullptr;
   BasisFactors* kept_ = nullptr;  ///< session's live factors (in/out)
-  bool debug_ = simplex_debug();
   int m_, n_;
   const SparseMatrix& acsc_;  ///< structural columns (CSC), session-owned
   bool phase1_ = true;

@@ -104,11 +104,11 @@ struct LpResult {
 /// the Forrest–Goldfarb reference-weight approximation); a re-solve that
 /// adopts kept factors resumes from the weights the previous solve handed
 /// back (BasisFactors::dse_weights). Any other warm basis is repaired with
-/// targeted artificials and a short Phase 1. The tolerances and the eta
-/// budget are fixed constants of the engine (simplex.cpp, basis_lu.cpp).
+/// targeted artificials and a short Phase 1. The tolerances, the eta
+/// budget and the x_B refresh interval are fixed constants of the engine
+/// (simplex.cpp, basis_lu.cpp).
 struct SimplexOptions {
   int max_iterations = 50000;
-  int refresh_interval = 64; ///< recompute x_B from scratch every N pivots
   /// LpSession only: keep the basis factorization alive across solves
   /// (BasisFactors). A re-solve whose warm basis matches the kept factors
   /// adopts them verbatim — bound-only deltas pivot straight away, and

@@ -365,6 +365,13 @@ Decision Shard::depart(const Event& e) {
 
 Decision Shard::update(const Event& e) {
   ++stats_.updates;
+  // A non-finite observed peak is a malformed sample: std::max(0, NaN)
+  // would read it as 0 and hide a violation. It accrues nothing and
+  // refreshes no forecast.
+  if (!std::isfinite(e.observed)) {
+    ++stats_.rejected_invalid;
+    return decision(e, DecisionKind::RejectedInvalid);
+  }
   const std::uint32_t slot = tenants_.find(e.tenant_id);
   if (slot == IdMap::kMissing) {
     ++stats_.unknown_tenant;

@@ -25,7 +25,8 @@
 // may fall to 0 here, while the slave keeps z ≥ λ̂ (docs/service.md).
 // An arrival with an unknown slice type, a non-finite λ̂, σ̂ or penalty
 // factor, or a negative penalty factor is rejected as RejectedInvalid
-// before any of this runs.
+// before any of this runs; so is a DemandUpdate whose observed peak is not
+// finite.
 //
 // Tenant records live in plain vectors indexed by slot: a freed slot is
 // reused newest-first, and the re-solve and the repack walk tenants in
@@ -86,7 +87,8 @@ enum class DecisionKind : std::uint8_t {
   RejectedDuplicate,  ///< tenant id already live on this shard
   RejectedFull,       ///< shard at max_tenants (overload shedding)
   RejectedSolver,     ///< admission LP did not solve to optimality
-  RejectedInvalid,    ///< unknown slice type, non-finite forecast or penalty
+  RejectedInvalid,    ///< unknown slice type, non-finite forecast, penalty
+                      ///< or observed peak
   Departed,
   Updated,
   Expired,  ///< duration_epochs elapsed at an epoch tick

@@ -1,5 +1,5 @@
 // Primal-heuristics battery (ISSUE 10): fix-and-dive correctness and
-// budgets, RENS/LNS restriction semantics, end-to-end incumbent injection
+// budgets, RENS restriction semantics, end-to-end incumbent injection
 // through solve_milp, and the conservative folding of heuristic candidates
 // whose acceptance gate abandoned without a certificate.
 #include <gtest/gtest.h>
@@ -158,24 +158,6 @@ TEST(RensRestrict, FixesNearIntegralAndShrinksTheRest) {
   EXPECT_DOUBLE_EQ(sess.model().variable(y).upper, 10.0);
 }
 
-TEST(LnsRestrict, FixesEverythingOutsideTheDestroySet) {
-  LpModel m;
-  m.add_binary("x0", -1.0);
-  m.add_binary("x1", -1.0);
-  m.add_binary("x2", -1.0);
-  LpSession sess(std::move(m), {});
-  sess.push();
-  const long fixed = lns_restrict(sess, {0, 1, 2}, {1.0, 0.0, 1.0},
-                                  [](int j) { return j == 1; });
-  EXPECT_EQ(fixed, 2);
-  EXPECT_DOUBLE_EQ(sess.model().variable(0).lower, 1.0);
-  EXPECT_DOUBLE_EQ(sess.model().variable(0).upper, 1.0);
-  EXPECT_DOUBLE_EQ(sess.model().variable(1).upper, 1.0);  // destroyed: free
-  EXPECT_DOUBLE_EQ(sess.model().variable(1).lower, 0.0);
-  EXPECT_DOUBLE_EQ(sess.model().variable(2).lower, 1.0);
-  sess.pop();
-}
-
 // --------------------------------------------------- solve_milp integration
 
 /// Integer-coefficient correlated knapsack (see branching_test.cpp): the
@@ -261,7 +243,6 @@ TEST_P(HeuristicFeasibilityTest, IncumbentsNeverViolateTheOriginalModel) {
   MilpOptions opts;
   opts.branching = BranchRule::Pseudocost;
   opts.rens_heuristic = true;
-  opts.lns_interval = 30;
   opts.threads = 2;
   const MilpResult res = solve_milp(m, opts);
   ASSERT_EQ(res.status, MilpStatus::Optimal);

@@ -228,7 +228,6 @@ TEST_P(MilpBranchingPropertyTest, RulesAgreeAndBoundsSandwich) {
   MilpOptions pc = mf;  // pseudocost + heuristics: different search, same answer
   pc.branching = BranchRule::Pseudocost;
   pc.rens_heuristic = true;
-  pc.lns_interval = 40;
   const MilpResult b = solve_milp(m, pc);
 
   ASSERT_EQ(a.status, MilpStatus::Optimal);

@@ -1,7 +1,8 @@
 // Single-tree Branch-and-Benders-cut coverage, both layers:
 //  * solver: the MilpOptions::lazy_cuts hook — transparent acceptance,
-//    cut-driven incumbent refinement, conservative accounting when a
-//    candidate is repeatedly rejected or separation abandons a node,
+//    fractional root rounds, cut-driven incumbent refinement, conservative
+//    accounting when a candidate is repeatedly rejected or separation
+//    abandons a node,
 //    pool-only rows rejecting later candidates without a callback call;
 //  * acrr: solve_benders(single_tree=true) agrees with the classic
 //    multi-tree loop on the admission objective (serial and parallel) and
@@ -65,6 +66,35 @@ TEST(LazyCuts, HookIsTransparentWhenCallbackAcceptsEverything) {
   EXPECT_GE(calls, 1);
   EXPECT_GE(lazy.separation_rounds, 1);
   EXPECT_EQ(lazy.cuts_separated, 0);
+}
+
+TEST(LazyCuts, FractionalRootRoundsComeWithTheHook) {
+  // max 3·x0 + 4·x1 + 5·x2 s.t. 2·x0 + 3·x1 + 4·x2 <= 6 (binaries): the
+  // root LP stops at x2 = 0.25, the integer optimum is x0 = x2 = 1 (-8).
+  // Setting lazy_cuts alone must offer that fractional root point to the
+  // callback, and accepting it must not change the answer.
+  solver::LpModel m;
+  m.add_binary("x0", -3.0);
+  m.add_binary("x1", -4.0);
+  m.add_binary("x2", -5.0);
+  m.add_row("cap", solver::RowSense::LessEq, 6.0,
+            {{0, 2.0}, {1, 3.0}, {2, 4.0}});
+  solver::MilpOptions plain_opts;
+  plain_opts.threads = 1;
+  const solver::MilpResult plain = solver::solve_milp(m, plain_opts);
+  ASSERT_EQ(plain.status, solver::MilpStatus::Optimal);
+
+  solver::MilpOptions opts = plain_opts;
+  long fractional_calls = 0;
+  opts.lazy_cuts = [&fractional_calls](const solver::LazyCutContext& ctx) {
+    if (!ctx.integral) ++fractional_calls;
+    return solver::LazyCutResult{};
+  };
+  const solver::MilpResult lazy = solver::solve_milp(m, opts);
+  EXPECT_GE(fractional_calls, 1);
+  EXPECT_EQ(lazy.status, plain.status);
+  EXPECT_DOUBLE_EQ(lazy.objective, plain.objective);
+  EXPECT_DOUBLE_EQ(lazy.objective, -8.0);
 }
 
 TEST(LazyCuts, ViolatedCutRefinesIncumbentToCutOptimum) {

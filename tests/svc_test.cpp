@@ -259,6 +259,42 @@ TEST(SvcState, NonFiniteForecastKeepsTheDriftTrigger) {
   EXPECT_EQ(run(true), 2u);
 }
 
+TEST(SvcState, NonFiniteObservedSampleIsRejectedTyped) {
+  // An overbooked tenant (every z_b below 20 Mbps) violates on a sample
+  // of 20. Clamped as a number, a NaN peak would read 0 and log a clean
+  // `update`; NaN and ±∞ must each be rejected as malformed, accrue no
+  // SLA minutes and leave the forecast alone.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  ShardConfig cfg;
+  cfg.capacity_fraction = 0.01;  // the radio cannot hold Λ: z < Λ
+  Shard shard(mini(), cfg, 0);
+  const auto embb = slice::SliceType::eMBB;
+  const Decision a = shard.handle(make_arrival(1, embb, 0.0, 0.0));
+  ASSERT_EQ(a.kind, DecisionKind::Admitted);
+  ASSERT_LT(a.z_total, 20.0);
+  for (const double observed : {nan, inf, -inf}) {
+    const Decision d = shard.handle(make_demand_update(1, observed, 40.0));
+    EXPECT_EQ(d.kind, DecisionKind::RejectedInvalid) << observed;
+    EXPECT_EQ(d.tenant_id, 1u);
+    EXPECT_EQ(d.value, 0.0);
+  }
+  EXPECT_EQ(shard.stats().updates, 3u);
+  EXPECT_EQ(shard.stats().rejected_invalid, 3u);
+  EXPECT_EQ(shard.stats().violation_minutes, 0.0);
+  EXPECT_EQ(shard.stats().violation_samples, 0u);
+  // No forecast was refreshed, so no drift re-solve fires.
+  std::vector<Decision> out;
+  shard.end_epoch(0, out);
+  EXPECT_EQ(shard.stats().full_resolves, 0u);
+
+  // A finite sample still records its violation.
+  const Decision v = shard.handle(make_demand_update(1, 20.0, 0.0));
+  EXPECT_EQ(v.kind, DecisionKind::Updated);
+  EXPECT_EQ(v.value, 1.0);
+  EXPECT_GT(shard.stats().violation_minutes, 0.0);
+}
+
 TEST(SvcState, CapacityPressureForcesOverbookingThenRejection) {
   // One shard owning the full mini() plane: each admission reserves less
   // than Λ once the radio saturates (overbooking), and profit eventually
