@@ -11,6 +11,7 @@
 #include "acrr/kac.hpp"
 #include "acrr/slave.hpp"
 #include "common/rng.hpp"
+#include "overhead_topology.hpp"
 #include "topo/generators.hpp"
 
 namespace ovnes::acrr {
@@ -37,10 +38,16 @@ struct Fixture {
   std::unique_ptr<topo::PathCatalog> catalog;
 
   explicit Fixture(std::size_t num_bs = 2, Cores edge = 40.0, Cores core = 200.0,
-                   Mbps link_cap = 1000.0) {
-    topo = topo::make_mini(num_bs, edge, core, 20000.0, link_cap);
-    catalog = std::make_unique<topo::PathCatalog>(topo, 2);
-  }
+                   Mbps link_cap = 1000.0)
+      : Fixture(topo::make_mini(num_bs, edge, core, 20000.0, link_cap)) {}
+  /// The same data plane with every link's η_e drawn from [1.0, 1.2).
+  Fixture(std::size_t num_bs, Cores edge, Cores core, Mbps link_cap,
+          RngStream eta)
+      : Fixture(test_topo::make_mini_with_overheads(num_bs, edge, core, 20000.0,
+                                                    link_cap, std::move(eta))) {}
+  explicit Fixture(topo::Topology t)
+      : topo(std::move(t)),
+        catalog(std::make_unique<topo::PathCatalog>(topo, 2)) {}
 
   AcrrInstance instance(std::vector<TenantModel> tenants,
                         AcrrConfig cfg = {}) const {
@@ -344,7 +351,9 @@ TEST(Benders, PinnedTenantStaysAdmitted) {
   EXPECT_EQ(res.admitted[0]->cu, CuId(0));
 }
 
-// Property: Benders == brute force on randomized small instances.
+// Property: Benders == brute force on randomized small instances, with
+// link overheads η_e ≠ 1 so the η terms of the master rows and the slave
+// cuts are exercised.
 class BendersRandomTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(BendersRandomTest, MatchesBruteForce) {
@@ -352,7 +361,8 @@ TEST_P(BendersRandomTest, MatchesBruteForce) {
   Fixture f(/*num_bs=*/2,
             /*edge=*/rng.uniform(20.0, 60.0),
             /*core=*/rng.uniform(60.0, 300.0),
-            /*link_cap=*/rng.uniform(150.0, 800.0));
+            /*link_cap=*/rng.uniform(150.0, 800.0),
+            /*eta=*/rng.derive("eta"));
   const int n = static_cast<int>(rng.uniform_int(2, 5));
   std::vector<TenantModel> ts;
   for (int i = 0; i < n; ++i) {

@@ -12,6 +12,7 @@
 #include "acrr/exact.hpp"
 #include "acrr/kac.hpp"
 #include "common/rng.hpp"
+#include "overhead_topology.hpp"
 #include "topo/generators.hpp"
 
 namespace ovnes::acrr {
@@ -92,16 +93,16 @@ TEST(ExactMilp, NoOverbookingModePinsZToSla) {
 }
 
 // The headline property: exact MILP == Benders on random instances, and
-// KAC is feasible but never better.
+// KAC is feasible but never better. Link overheads η_e ≠ 1 exercise the η
+// terms, which exact.cpp writes out independently of the Benders rows.
 class SolverAgreementTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(SolverAgreementTest, ExactEqualsBendersAndBoundsKac) {
   RngStream rng(static_cast<uint64_t>(GetParam()) * 6151 + 41);
   const auto num_bs = static_cast<std::size_t>(rng.uniform_int(2, 3));
-  const topo::Topology topo =
-      topo::make_mini(num_bs, rng.uniform(20.0, 90.0),
-                      rng.uniform(0.0, 250.0), 20000.0,
-                      rng.uniform(150.0, 900.0));
+  const topo::Topology topo = test_topo::make_mini_with_overheads(
+      num_bs, rng.uniform(20.0, 90.0), rng.uniform(0.0, 250.0), 20000.0,
+      rng.uniform(150.0, 900.0), rng.derive("eta"));
   const topo::PathCatalog catalog(topo, 1);
   std::vector<TenantModel> ts;
   const int n = static_cast<int>(rng.uniform_int(2, 6));
