@@ -77,8 +77,8 @@ std::string drive(Algorithm algo) {
     for (std::size_t b = 0; b < t.num_bs(); ++b) {
       Row r("fig8b");
       r.set("algo", algo_name).set("hour", hour).set("bs", b)
-          .set("reserved_prbs", rep.usage.radio_reserved[b])
-          .set("load_prbs", rep.usage.radio_load[b])
+          .set("reserved_prbs", rep.usage.reserved.radio_prbs[b])
+          .set("load_prbs", rep.usage.load.radio_prbs[b])
           .set("capacity_prbs", t.bs(BsId(static_cast<std::uint32_t>(b))).capacity);
       out += r.str() + "\n";
     }
@@ -88,8 +88,8 @@ std::string drive(Algorithm algo) {
       Row r("fig8c");
       r.set("algo", algo_name).set("hour", hour)
           .set("link", l - 2)
-          .set("reserved_mbps", rep.usage.link_reserved[l])
-          .set("load_mbps", rep.usage.link_load[l])
+          .set("reserved_mbps", rep.usage.reserved.link_mbps[l])
+          .set("load_mbps", rep.usage.load.link_mbps[l])
           .set("capacity_mbps", t.graph.links()[l].capacity);
       out += r.str() + "\n";
     }
@@ -97,8 +97,8 @@ std::string drive(Algorithm algo) {
       Row r("fig8d");
       r.set("algo", algo_name).set("hour", hour)
           .set("cu", std::string(t.cu(CuId(static_cast<std::uint32_t>(c))).name))
-          .set("reserved_cores", rep.usage.cpu_reserved[c])
-          .set("load_cores", rep.usage.cpu_load[c])
+          .set("reserved_cores", rep.usage.reserved.cpu_cores[c])
+          .set("load_cores", rep.usage.load.cpu_cores[c])
           .set("capacity_cores", t.cu(CuId(static_cast<std::uint32_t>(c))).capacity);
       out += r.str() + "\n";
     }

@@ -142,10 +142,8 @@ void add_usage_rows(const AcrrInstance& inst, MasterModel& m,
     for (std::size_t j = 0; j < vars.size(); ++j) {
       const VarInfo& v = vars[j];
       if (v.cu.index() != ci) continue;
-      const auto& svc =
-          inst.tenants()[static_cast<size_t>(v.tenant)].request.tmpl.service;
-      const double usage = svc.baseline / static_cast<double>(inst.num_bs()) +
-                           svc.cores_per_mbps * v.*level;
+      const double usage =
+          inst.baseline_share(v) + inst.service(v).cores_per_mbps * v.*level;
       if (usage > 0.0) coefs.push_back({m.x_col[j], usage});
     }
     if (!coefs.empty()) {

@@ -90,6 +90,15 @@ class AcrrInstance {
   [[nodiscard]] const AcrrConfig& config() const { return config_; }
   [[nodiscard]] const std::vector<TenantModel>& tenants() const { return tenants_; }
   [[nodiscard]] const std::vector<VarInfo>& vars() const { return vars_; }
+  /// Compute service sτ = {a, b} of the tenant behind variable v.
+  [[nodiscard]] const slice::ServiceModel& service(const VarInfo& v) const {
+    return tenants_[static_cast<size_t>(v.tenant)].request.tmpl.service;
+  }
+  /// a_τ/B: the share of its tenant's compute baseline that each path
+  /// variable carries (DESIGN.md choice #3).
+  [[nodiscard]] double baseline_share(const VarInfo& v) const {
+    return service(v).baseline / static_cast<double>(num_bs());
+  }
 
   /// Variable indices of tenant t (all CUs/BSs/paths).
   [[nodiscard]] const std::vector<int>& tenant_vars(int t) const {

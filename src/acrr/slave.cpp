@@ -18,18 +18,6 @@ double BendersCut::value_at(const std::vector<char>& x_active) const {
 
 namespace {
 
-/// Per-variable compute baseline share a_τ/B (DESIGN.md choice #3).
-double baseline_share(const AcrrInstance& inst, const VarInfo& v) {
-  return inst.tenants()[static_cast<size_t>(v.tenant)]
-             .request.tmpl.service.baseline /
-         static_cast<double>(inst.num_bs());
-}
-
-double cores_per_mbps(const AcrrInstance& inst, const VarInfo& v) {
-  return inst.tenants()[static_cast<size_t>(v.tenant)]
-      .request.tmpl.service.cores_per_mbps;
-}
-
 /// Floor of an active path's reservation box z ∈ [floor, Λ]: the forecast
 /// λ̂ of (9), or Λ itself for the no-overbooking baseline. The svc hot path
 /// floors z at 0 instead (docs/service.md).
@@ -96,8 +84,8 @@ SlaveResult SlaveProblem::solve(const std::vector<char>& x_active,
       for (int j : active) {
         const VarInfo& v = vars[static_cast<size_t>(j)];
         if (!(v.cu == c)) continue;
-        fixed += baseline_share(inst, v);
-        const double b = cores_per_mbps(inst, v);
+        fixed += inst.baseline_share(v);
+        const double b = inst.service(v).cores_per_mbps;
         if (b > 0.0) coefs.push_back({z_of_[j], b});
       }
       if (coefs.empty() && fixed == 0.0) continue;
@@ -203,7 +191,7 @@ SlaveResult SlaveProblem::solve(const std::vector<char>& x_active,
   };
   for (std::size_t j = 0; j < vars.size(); ++j) {
     const VarInfo& v = vars[j];
-    double r = mu_at(mu_cu, v.cu.value()) * cores_per_mbps(inst, v) +
+    double r = mu_at(mu_cu, v.cu.value()) * inst.service(v).cores_per_mbps +
                mu_at(mu_bs, v.bs.value()) * v.radio_prbs_per_mbps;
     for (LinkId e : v.path->links) {
       r += mu_at(mu_link, e.value()) * topo.graph.link(e).overhead;
@@ -212,7 +200,7 @@ SlaveResult SlaveProblem::solve(const std::vector<char>& x_active,
     const double z_lo = reservation_floor(inst, v);
     const double inner = std::min(slope * z_lo, slope * v.sla);
     const double coef =
-        mu_at(mu_cu, v.cu.value()) * baseline_share(inst, v) + inner;
+        mu_at(mu_cu, v.cu.value()) * inst.baseline_share(v) + inner;
     if (coef != 0.0) cut.coefs.emplace_back(static_cast<int>(j), coef);
   }
   out.cut = std::move(cut);

@@ -1,23 +1,11 @@
 #include "common/json.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
+#include <string>
 
 namespace ovnes::json {
-
-const Value& Value::at(const std::string& key) const {
-  const Object& obj = as_object();
-  const auto it = obj.find(key);
-  if (it == obj.end()) throw JsonError("json: missing key '" + key + "'");
-  return it->second;
-}
-
-bool Value::has(const std::string& key) const {
-  return is_object() && as_object().count(key) != 0;
-}
 
 namespace {
 
@@ -99,167 +87,6 @@ struct Dumper {
   }
 };
 
-class Parser {
- public:
-  explicit Parser(const std::string& text) : s_(text) {}
-
-  Value parse_document() {
-    Value v = parse_value();
-    skip_ws();
-    if (pos_ != s_.size()) fail("trailing characters");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& why) const {
-    throw JsonError("json parse error at offset " + std::to_string(pos_) +
-                    ": " + why);
-  }
-
-  void skip_ws() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_]))) ++pos_;
-  }
-
-  char peek() {
-    if (pos_ >= s_.size()) fail("unexpected end of input");
-    return s_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool consume_literal(const char* lit) {
-    std::size_t n = 0;
-    while (lit[n]) ++n;
-    if (s_.compare(pos_, n, lit) == 0) {
-      pos_ += n;
-      return true;
-    }
-    return false;
-  }
-
-  Value parse_value() {
-    skip_ws();
-    const char c = peek();
-    switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': return Value(parse_string());
-      case 't':
-        if (consume_literal("true")) return Value(true);
-        fail("bad literal");
-      case 'f':
-        if (consume_literal("false")) return Value(false);
-        fail("bad literal");
-      case 'n':
-        if (consume_literal("null")) return Value(nullptr);
-        fail("bad literal");
-      default: return parse_number();
-    }
-  }
-
-  Value parse_object() {
-    expect('{');
-    Object obj;
-    skip_ws();
-    if (peek() == '}') { ++pos_; return Value(std::move(obj)); }
-    while (true) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      obj[std::move(key)] = parse_value();
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      expect('}');
-      return Value(std::move(obj));
-    }
-  }
-
-  Value parse_array() {
-    expect('[');
-    Array arr;
-    skip_ws();
-    if (peek() == ']') { ++pos_; return Value(std::move(arr)); }
-    while (true) {
-      arr.push_back(parse_value());
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      expect(']');
-      return Value(std::move(arr));
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= s_.size()) fail("unterminated string");
-      char c = s_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') { out.push_back(c); continue; }
-      if (pos_ >= s_.size()) fail("dangling escape");
-      const char e = s_[pos_++];
-      switch (e) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'n': out.push_back('\n'); break;
-        case 't': out.push_back('\t'); break;
-        case 'r': out.push_back('\r'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'u': {
-          if (pos_ + 4 > s_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = s_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code += static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code += static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code += static_cast<unsigned>(h - 'A' + 10);
-            else fail("bad hex digit in \\u escape");
-          }
-          // UTF-8 encode (BMP only).
-          if (code < 0x80) {
-            out.push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          } else {
-            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          }
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-  }
-
-  Value parse_number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E' || s_[pos_] == '+' || s_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected value");
-    const std::string tok = s_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double d = std::strtod(tok.c_str(), &end);
-    if (end == tok.c_str() || *end != '\0') fail("malformed number '" + tok + "'");
-    return Value(d);
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
 }  // namespace
 
 std::string Value::dump(int indent) const {
@@ -286,7 +113,5 @@ std::string format_double(double d) {
   }
   return buf;
 }
-
-Value parse(const std::string& text) { return Parser(text).parse_document(); }
 
 }  // namespace ovnes::json

@@ -1,9 +1,9 @@
-// Minimal JSON value model, parser and serializer.
+// Minimal JSON value model and serializer, with no external dependencies.
 //
-// Used by the northbound interface (`src/nbi/`) to round-trip TOSCA-like
-// network-service descriptors, mirroring the paper's REST/TOSCA plumbing
-// without external dependencies. Supports the full JSON grammar except
-// \uXXXX escapes beyond the BMP (sufficient for descriptor payloads).
+// The benches build reports out of Values and dump them (bench_regression's
+// BENCH_*.json, bench_e2e's result objects); format_double is the canonical
+// double rendering behind those reports and the scn/svc digests. Nothing
+// parses JSON back, so there is no parser.
 #pragma once
 
 #include <cstddef>
@@ -20,7 +20,7 @@ class Value;
 using Array = std::vector<Value>;
 using Object = std::map<std::string, Value>;
 
-/// Thrown on malformed input or type mismatches.
+/// Thrown on a type mismatch in an accessor.
 class JsonError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -53,18 +53,9 @@ class Value {
   [[nodiscard]] const std::string& as_string() const { return get<std::string>("string"); }
   [[nodiscard]] const Array& as_array() const { return get<Array>("array"); }
   [[nodiscard]] const Object& as_object() const { return get<Object>("object"); }
-  Array& as_array() { return get<Array>("array"); }
-  Object& as_object() { return get<Object>("object"); }
-
-  /// Object member access; throws JsonError when absent or not an object.
-  [[nodiscard]] const Value& at(const std::string& key) const;
-  /// True when this is an object containing `key`.
-  [[nodiscard]] bool has(const std::string& key) const;
 
   /// Serialize. `indent < 0` => compact single line.
   [[nodiscard]] std::string dump(int indent = -1) const;
-
-  friend bool operator==(const Value& a, const Value& b) { return a.v_ == b.v_; }
 
  private:
   template <class T>
@@ -72,17 +63,9 @@ class Value {
     if (const T* p = std::get_if<T>(&v_)) return *p;
     throw JsonError(std::string("json: value is not a ") + what);
   }
-  template <class T>
-  T& get(const char* what) {
-    if (T* p = std::get_if<T>(&v_)) return *p;
-    throw JsonError(std::string("json: value is not a ") + what);
-  }
 
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object> v_;
 };
-
-/// Parse a complete JSON document (trailing whitespace allowed).
-[[nodiscard]] Value parse(const std::string& text);
 
 /// Shortest round-trip decimal rendering of a finite double: the fewest
 /// significant digits (tried in increasing order) whose strtod() parse

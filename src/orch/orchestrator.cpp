@@ -8,6 +8,41 @@
 
 namespace ovnes::orch {
 
+namespace {
+
+/// Tolerance of the over-capacity count, relative to max(1, capacity):
+/// the LP solutions behind a reservation meet their rows to ~1e-7.
+constexpr double kCapacityTol = 1e-6;
+
+/// Reject a malformed Φτ with std::invalid_argument. `taken` holds the
+/// names already submitted to the simulation.
+void validate(const slice::SliceRequest& r,
+              const std::unordered_set<std::string>& taken) {
+  const auto fail = [&r](const std::string& why) {
+    throw std::invalid_argument("Simulation::submit: slice '" + r.name +
+                                "': " + why);
+  };
+  if (taken.count(r.name) != 0) fail("already exists");
+  if (!std::isfinite(r.tmpl.sla_rate) || r.tmpl.sla_rate <= 0.0) {
+    fail("Λ must be finite and positive");
+  }
+  if (!std::isfinite(r.tmpl.delay_budget) || r.tmpl.delay_budget <= 0.0) {
+    fail("∆ must be finite and positive");
+  }
+  if (r.duration_epochs == 0) fail("L must be at least one epoch");
+  if (!std::isfinite(r.declared_mean) || !std::isfinite(r.declared_std) ||
+      r.declared_mean < 0.0 || r.declared_std < 0.0 ||
+      r.declared_mean > r.tmpl.sla_rate) {
+    fail("declared traffic descriptor out of range");
+  }
+  if (!std::isfinite(r.tmpl.reward)) fail("R must be finite");
+  if (!std::isfinite(r.penalty_factor) || r.penalty_factor < 0.0) {
+    fail("penalty factor must be finite and non-negative");
+  }
+}
+
+}  // namespace
+
 const char* to_string(Algorithm a) {
   switch (a) {
     case Algorithm::Benders: return "benders";
@@ -27,42 +62,20 @@ Algorithm algorithm_from_string(const std::string& s) {
 Simulation::Simulation(topo::Topology topology, std::size_t k_paths,
                        OrchestratorConfig config)
     : topo_(std::move(topology)), catalog_(topo_, k_paths),
-      cfg_(std::move(config)), rng_(cfg_.seed), manager_(topo_.num_bs()),
-      ran_(topo_), transport_(topo_), cloud_(topo_) {
+      cfg_(std::move(config)), rng_(cfg_.seed),
+      capacity_(acrr::Ledger::capacities(topo_)) {
   cfg_.acrr.no_overbooking = cfg_.algorithm == Algorithm::NoOverbooking;
 }
 
 void Simulation::submit(slice::SliceRequest request,
                         std::function<traffic::DemandPtr(BsId)> demand_factory) {
   if (request.name.empty()) {
-    request.name = "slice-" + std::to_string(pending_.size());
+    // names_ only grows, so its size never repeats across epochs.
+    request.name = "slice-" + std::to_string(names_.size());
   }
-  const SliceManager::SubmitResult sr = manager_.submit(request);
-  if (!sr.ok) {
-    throw std::invalid_argument("Simulation::submit: " + sr.error);
-  }
+  validate(request, names_);
+  names_.insert(request.name);
   pending_.push_back({std::move(request), std::move(demand_factory)});
-}
-
-std::size_t Simulation::enforce_placement(const ActiveSlice& s) {
-  std::size_t failures = 0;
-  double z_sum = 0.0;
-  for (std::size_t bi = 0; bi < topo_.num_bs(); ++bi) {
-    const BsId b(static_cast<std::uint32_t>(bi));
-    const double z = s.reservation.empty() ? 0.0 : s.reservation[bi];
-    z_sum += z;
-    if (!ran_.grant(s.request.name, b, z / topo_.bs(b).mbps_per_prb).ok) {
-      ++failures;
-    }
-    if (bi < s.paths.size() && s.paths[bi]) {
-      FlowRule rule{s.request.name, b, s.paths[bi]->links, z};
-      if (!transport_.install(std::move(rule)).ok) ++failures;
-    }
-  }
-  const auto& svc = s.request.tmpl.service;
-  const Cores cores = svc.baseline + svc.cores_per_mbps * z_sum;
-  if (!cloud_.instantiate(s.request.name, s.cu, cores).ok) ++failures;
-  return failures;
 }
 
 forecast::Forecast Simulation::admission_forecast(
@@ -173,7 +186,6 @@ EpochReport Simulation::run_epoch() {
       const auto& placement = result.admitted[t];
       if (!placement) {
         report.rejected.push_back(p.request.name);
-        manager_.mark_rejected(p.request.name, epoch_);
         if (cfg_.retry_rejected) {
           p.request.arrival_epoch = epoch_ + 1;
           pending_.push_back(std::move(p));
@@ -199,16 +211,8 @@ EpochReport Simulation::run_epoch() {
             cfg_.hw_period));
       }
       report.accepted.push_back(p.request.name);
-      manager_.mark_active(p.request.name, epoch_,
-                           topo_.cu(s.cu).name);
       runtime_.push_back(std::move(rt));
       active_.push_back(std::move(s));
-    }
-
-    // Southbound enforcement: program the domain controllers with the new
-    // reservations (ETSI IFA005-style configuration push, §2.2.3).
-    for (const ActiveSlice& s : active_) {
-      report.enforcement_failures += enforce_placement(s);
     }
   }
 
@@ -217,12 +221,15 @@ EpochReport Simulation::run_epoch() {
   const Money penalty_before = ledger_.total_penalty();
   const std::size_t violations_before = ledger_.violations();
 
-  report.usage.radio_reserved.assign(b_count, 0.0);
-  report.usage.radio_load.assign(b_count, 0.0);
-  report.usage.link_reserved.assign(topo_.graph.num_links(), 0.0);
-  report.usage.link_load.assign(topo_.graph.num_links(), 0.0);
-  report.usage.cpu_reserved.assign(topo_.num_cu(), 0.0);
-  report.usage.cpu_load.assign(topo_.num_cu(), 0.0);
+  // Reservations are constant within the epoch.
+  report.usage.reserved = acrr::Ledger(topo_);
+  for (const ActiveSlice& s : active_) {
+    report.usage.reserved.book(topo_, s.request.tmpl.service, s.cu,
+                               s.reservation, s.paths);
+  }
+  report.over_capacity = report.usage.reserved.over(capacity_, kCapacityTol);
+  acrr::Ledger& load = report.usage.load;
+  load = acrr::Ledger(topo_);
 
   std::vector<std::vector<double>> epoch_peak(active_.size());
   for (auto& v : epoch_peak) v.assign(b_count, 0.0);
@@ -250,42 +257,21 @@ EpochReport Simulation::run_epoch() {
         delivered_sum += mb.delivered;
         // Usage accounting (mean over samples).
         const double prbs_per_mbps = 1.0 / topo_.bs(BsId(static_cast<std::uint32_t>(bi))).mbps_per_prb;
-        report.usage.radio_load[bi] +=
+        load.radio_prbs[bi] +=
             mb.delivered * prbs_per_mbps / static_cast<double>(cfg_.samples_per_epoch);
         if (bi < s.paths.size() && s.paths[bi]) {
           for (LinkId e : s.paths[bi]->links) {
-            report.usage.link_load[e.index()] +=
+            load.link_mbps[e.index()] +=
                 mb.delivered * topo_.graph.link(e).overhead /
                 static_cast<double>(cfg_.samples_per_epoch);
           }
         }
       }
       const auto& svc = s.request.tmpl.service;
-      report.usage.cpu_load[s.cu.index()] +=
+      load.cpu_cores[s.cu.index()] +=
           (svc.baseline + svc.cores_per_mbps * delivered_sum) /
           static_cast<double>(cfg_.samples_per_epoch);
     }
-  }
-
-  // Reservations (constant within the epoch).
-  for (const ActiveSlice& s : active_) {
-    const auto& svc = s.request.tmpl.service;
-    double z_sum = 0.0;
-    for (std::size_t bi = 0; bi < b_count; ++bi) {
-      const double z = s.reservation.empty() ? 0.0 : s.reservation[bi];
-      z_sum += z;
-      const double prbs_per_mbps =
-          1.0 / topo_.bs(BsId(static_cast<std::uint32_t>(bi))).mbps_per_prb;
-      report.usage.radio_reserved[bi] += z * prbs_per_mbps;
-      if (bi < s.paths.size() && s.paths[bi]) {
-        for (LinkId e : s.paths[bi]->links) {
-          report.usage.link_reserved[e.index()] +=
-              z * topo_.graph.link(e).overhead;
-        }
-      }
-    }
-    report.usage.cpu_reserved[s.cu.index()] +=
-        svc.baseline + svc.cores_per_mbps * z_sum;
   }
 
   // ---- 4. Rewards, forecaster updates, expiry.
@@ -316,7 +302,7 @@ EpochReport Simulation::run_epoch() {
   for (std::size_t bi = 0; bi < b_count; ++bi) {
     const auto& bs = topo_.bs(BsId(static_cast<std::uint32_t>(bi)));
     report.radio_headroom_mbps +=
-        std::max(0.0, bs.capacity - report.usage.radio_reserved[bi]) *
+        std::max(0.0, bs.capacity - report.usage.reserved.radio_prbs[bi]) *
         bs.mbps_per_prb;
   }
 
@@ -328,11 +314,6 @@ EpochReport Simulation::run_epoch() {
     ActiveSlice& s = active_[i];
     if (--s.remaining_epochs == 0) {
       report.expired.push_back(s.request.name);
-      // Teardown: release every domain's share of the slice.
-      ran_.release(s.request.name);
-      transport_.release(s.request.name);
-      cloud_.release(s.request.name);
-      manager_.mark_expired(s.request.name, epoch_);
     } else {
       still.push_back(std::move(s));
       still_runtime.push_back(std::move(runtime_[i]));

@@ -19,15 +19,15 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "acrr/benders.hpp"
 #include "acrr/kac.hpp"
+#include "acrr/ledger.hpp"
 #include "common/rng.hpp"
 #include "dataplane/middlebox.hpp"
 #include "forecast/smoothing.hpp"
-#include "orch/controllers.hpp"
-#include "orch/slice_manager.hpp"
 #include "slice/slice.hpp"
 #include "topo/generators.hpp"
 #include "traffic/demand.hpp"
@@ -64,12 +64,10 @@ struct OrchestratorConfig {
 
 /// Per-domain reservation/utilization snapshot for one epoch (Fig. 8 b-d).
 struct DomainUsage {
-  std::vector<double> radio_reserved;   ///< PRBs per BS
-  std::vector<double> radio_load;      ///< PRBs per BS (delivered traffic)
-  std::vector<double> link_reserved;   ///< Mb/s per link
-  std::vector<double> link_load;
-  std::vector<double> cpu_reserved;    ///< cores per CU
-  std::vector<double> cpu_load;
+  /// The active slices' reservations, booked through acrr::Ledger.
+  acrr::Ledger reserved;
+  /// Mean over the epoch's samples of the usage of the delivered traffic.
+  acrr::Ledger load;
 };
 
 /// The solver::SolveStats base carries this epoch's admission-solve
@@ -94,10 +92,11 @@ struct EpochReport : solver::SolveStats {
   double radio_headroom_mbps = 0.0;
   double solve_ms = 0.0;
   double deficit = 0.0;
-  /// Southbound enforcement calls the domain controllers refused. Always 0
-  /// unless the §3.4 deficit is active (leased/federated capacity is not
-  /// modelled in the controllers' physical inventories).
-  std::size_t enforcement_failures = 0;
+  /// Resources (BSs, links, CUs) whose reserved usage exceeds capacity:
+  /// usage.reserved checked against the topology's capacities. 0 whenever
+  /// the epoch's §3.4 deficit is 0; under a deficit the overflow is the
+  /// leased capacity the relaxation priced.
+  std::size_t over_capacity = 0;
   DomainUsage usage;
 };
 
@@ -117,9 +116,12 @@ class Simulation {
              OrchestratorConfig config);
 
   /// Queue a slice request; `demand_factory(bs)` builds the per-BS offered
-  /// load process (invoked once per BS at admission time). The request is
-  /// validated by the slice manager; throws std::invalid_argument on
-  /// malformed Φτ.
+  /// load process (invoked once per BS at admission time). An unnamed
+  /// request is named "slice-<n>", n counting this simulation's accepted
+  /// submissions. Throws std::invalid_argument on malformed Φτ: a name
+  /// already submitted, a non-finite or non-positive Λ or ∆, L = 0, a
+  /// non-finite or negative declared mean or std, a declared mean above Λ,
+  /// a non-finite reward, or a non-finite or negative penalty factor.
   void submit(slice::SliceRequest request,
               std::function<traffic::DemandPtr(BsId)> demand_factory);
 
@@ -135,14 +137,6 @@ class Simulation {
   [[nodiscard]] std::size_t current_epoch() const { return epoch_; }
   /// Cumulative net revenue (Fig. 8a).
   [[nodiscard]] Money cumulative_net_revenue() const { return ledger_.net_revenue(); }
-
-  /// Control-plane components (read access for inspection/tests).
-  [[nodiscard]] const SliceManager& slice_manager() const { return manager_; }
-  [[nodiscard]] const RanController& ran_controller() const { return ran_; }
-  [[nodiscard]] const TransportController& transport_controller() const {
-    return transport_;
-  }
-  [[nodiscard]] const CloudController& cloud_controller() const { return cloud_; }
 
  private:
   struct PendingRequest {
@@ -161,19 +155,14 @@ class Simulation {
   /// Solve one epoch's instance with cfg_.algorithm. Each solve starts
   /// from scratch: no Benders cut carries over from an earlier epoch.
   acrr::AdmissionResult dispatch_solver(const acrr::AcrrInstance& inst);
-  /// Push one slice's reservations down to the RAN/transport/cloud
-  /// controllers; returns the number of refused calls.
-  std::size_t enforce_placement(const ActiveSlice& s);
 
   topo::Topology topo_;
   topo::PathCatalog catalog_;
   OrchestratorConfig cfg_;
   RngStream rng_;
-  SliceManager manager_;
-  RanController ran_;
-  TransportController transport_;
-  CloudController cloud_;
+  acrr::Ledger capacity_;  ///< topo_'s capacities
 
+  std::unordered_set<std::string> names_;  ///< every accepted submission
   std::vector<PendingRequest> pending_;
   std::vector<ActiveSlice> active_;
   std::vector<SliceRuntime> runtime_;  ///< index-aligned with active_

@@ -43,7 +43,8 @@ struct SliceTemplate {
 /// uRLLC: R=2+b=2.2, ∆=5 ms, Λ=25, s={0,0.2}.
 [[nodiscard]] SliceTemplate standard_template(SliceType type);
 
-/// A tenant's slice request Φτ as submitted to the slice manager.
+/// A tenant's slice request Φτ as submitted to the orchestrator
+/// (orch::Simulation::submit validates it).
 struct SliceRequest {
   TenantId tenant;
   std::string name;

@@ -21,6 +21,16 @@
 // anywhere on the model-mutation or solve paths.
 #pragma once
 
+// LpModel::RowView hands out std::span (C++20, P0122R7), and so does
+// everything built on the model. Under -std=c++17 <span> is empty and the
+// first use fails deep inside a template wall; fail fast with a readable
+// diagnostic instead. CMake pins cxx_std_20 — this guard is for out-of-tree
+// builds.
+#include <version>
+#if !defined(__cpp_lib_span) || __cpp_lib_span < 202002L
+#error "ovnes requires C++20 (std::span): compile with -std=c++20 or newer"
+#endif
+
 #include <limits>
 #include <span>
 #include <string>

@@ -98,24 +98,10 @@ Shard::Shard(const topo::Topology& base, ShardConfig cfg, std::uint32_t id)
       session_(make_base_model(topo_.num_bs())),
       tenants_(64),
       link_seen_(topo_.graph.num_links(), 0),
-      z_scratch_(num_bs_, 0.0) {
+      z_scratch_(num_bs_, 0.0),
+      committed_(topo_),
+      budget_(acrr::Ledger::capacities(topo_)) {
   link_order_.reserve(topo_.graph.num_links());
-  committed_radio_prbs_.assign(num_bs_, 0.0);
-  committed_cpu_cores_.assign(num_cu_, 0.0);
-  committed_link_mbps_.assign(topo_.graph.num_links(), 0.0);
-  radio_budget_prbs_.resize(num_bs_);
-  for (std::size_t b = 0; b < num_bs_; ++b) {
-    radio_budget_prbs_[b] = topo_.bs(BsId(static_cast<std::uint32_t>(b))).capacity;
-  }
-  cpu_budget_cores_.resize(num_cu_);
-  for (std::size_t c = 0; c < num_cu_; ++c) {
-    cpu_budget_cores_[c] = topo_.cu(CuId(static_cast<std::uint32_t>(c))).capacity;
-  }
-  link_budget_mbps_.resize(topo_.graph.num_links());
-  for (std::size_t e = 0; e < topo_.graph.num_links(); ++e) {
-    link_budget_mbps_[e] =
-        topo_.graph.link(LinkId(static_cast<std::uint32_t>(e))).capacity;
-  }
 
   // Per-type structures: the delay-cheapest path per (b, c) and the CU set
   // reachable from EVERY BS within the delay budget (constraint (6): an
@@ -156,7 +142,7 @@ Shard::Shard(const topo::Topology& base, ShardConfig cfg, std::uint32_t id)
 
 double Shard::radio_residual_mbps(std::size_t b) const {
   const auto& bs = topo_.bs(BsId(static_cast<std::uint32_t>(b)));
-  const double prbs = radio_budget_prbs_[b] - committed_radio_prbs_[b];
+  const double prbs = budget_.radio_prbs[b] - committed_.radio_prbs[b];
   return std::max(0.0, prbs) * bs.mbps_per_prb;
 }
 
@@ -174,7 +160,7 @@ void Shard::stage_candidate(const TypeInfo& ti, std::uint32_t cu, double w) {
   const double slope = ti.tmpl.service.cores_per_mbps;
   if (slope > 0.0) {
     const double rhs = std::max(
-        0.0, cpu_budget_cores_[cu] - committed_cpu_cores_[cu] -
+        0.0, budget_.cpu_cores[cu] - committed_.cpu_cores[cu] -
                  ti.tmpl.service.baseline);
     std::vector<solver::Coef> coefs;
     coefs.reserve(num_bs_);
@@ -212,7 +198,7 @@ void Shard::stage_candidate(const TypeInfo& ti, std::uint32_t cu, double w) {
       }
     }
     const double rhs =
-        std::max(0.0, link_budget_mbps_[e] - committed_link_mbps_[e]);
+        std::max(0.0, budget_.link_mbps[e] - committed_.link_mbps[e]);
     session_.add_cut("lnk", solver::RowSense::LessEq, rhs, std::move(coefs));
   }
 }
@@ -279,7 +265,7 @@ Decision Shard::admit(const Event& e) {
   std::uint32_t cu = 0;
   double best_resid = 0.0;
   for (std::uint32_t c : ti.feasible_cus) {
-    const double resid = cpu_budget_cores_[c] - committed_cpu_cores_[c];
+    const double resid = budget_.cpu_cores[c] - committed_.cpu_cores[c];
     if (resid < ti.tmpl.service.baseline - kTol) continue;
     if (!placed || resid > best_resid + kTol) {
       placed = true;
@@ -340,7 +326,8 @@ Decision Shard::admit(const Event& e) {
   t.live = true;
   std::copy(z_scratch_.begin(), z_scratch_.end(), zrow(slot));
   tenants_.insert(e.tenant_id, slot);
-  book(slot, 1.0);
+  committed_.book(topo_, ti.tmpl.service, CuId(cu), {zrow(slot), num_bs_},
+                  {ti.path.data() + cu * num_bs_, num_bs_});
   lambda_admitted_sum_ += t.lambda_admitted;
 
   ++stats_.admitted;
@@ -413,48 +400,16 @@ double Shard::z_total(std::uint32_t slot) const {
   return std::accumulate(z, z + num_bs_, 0.0);
 }
 
-void Shard::book(std::uint32_t slot, double sign) {
-  // Each finished term is signed, so a release subtracts exactly what the
-  // commit added.
-  const TenantEntry& t = entries_[slot];
-  const TypeInfo& ti = types_[static_cast<std::size_t>(t.type)];
-  const double* z = zrow(slot);
-  for (std::size_t b = 0; b < num_bs_; ++b) {
-    const auto& bs = topo_.bs(BsId(static_cast<std::uint32_t>(b)));
-    committed_radio_prbs_[b] += sign * (z[b] / bs.mbps_per_prb);
-    const topo::CandidatePath* p = ti.path[t.cu * num_bs_ + b];
-    if (p == nullptr) continue;
-    for (LinkId e : p->links) {
-      committed_link_mbps_[e.index()] +=
-          sign * (topo_.graph.link(e).overhead * z[b]);
-    }
-  }
-  const auto& service = ti.tmpl.service;
-  committed_cpu_cores_[t.cu] +=
-      sign * (service.baseline + service.cores_per_mbps * z_total(slot));
-}
-
 void Shard::release_tenant(std::uint32_t slot) {
-  book(slot, -1.0);
   TenantEntry& t = entries_[slot];
+  const TypeInfo& ti = types_[static_cast<std::size_t>(t.type)];
+  committed_.book(topo_, ti.tmpl.service, CuId(t.cu), {zrow(slot), num_bs_},
+                  {ti.path.data() + t.cu * num_bs_, num_bs_}, -1.0);
   drift_abs_ -= std::abs(t.lambda_hat - t.lambda_admitted);
   lambda_admitted_sum_ -= t.lambda_admitted;
   tenants_.erase(t.id);
   t.live = false;
   free_slots_.push_back(slot);
-}
-
-void Shard::clear_ledger() {
-  std::fill(committed_radio_prbs_.begin(), committed_radio_prbs_.end(), 0.0);
-  std::fill(committed_cpu_cores_.begin(), committed_cpu_cores_.end(), 0.0);
-  std::fill(committed_link_mbps_.begin(), committed_link_mbps_.end(), 0.0);
-}
-
-void Shard::recompute_committed() {
-  clear_ledger();
-  for (std::uint32_t slot = 0; slot < entries_.size(); ++slot) {
-    if (entries_[slot].live) book(slot, 1.0);
-  }
 }
 
 void Shard::end_epoch(std::size_t epoch, std::vector<Decision>& out) {
@@ -546,11 +501,14 @@ void Shard::benders_resolve() {
       z[b] = std::max(0.0, p.reservation[b]);
     }
   }
-  recompute_committed();
+  committed_.clear();
   drift_abs_ = 0.0;
   lambda_admitted_sum_ = 0.0;
   for (std::uint32_t slot : slots) {
     TenantEntry& t = entries_[slot];
+    const TypeInfo& ti = types_[static_cast<std::size_t>(t.type)];
+    committed_.book(topo_, ti.tmpl.service, CuId(t.cu), {zrow(slot), num_bs_},
+                    {ti.path.data() + t.cu * num_bs_, num_bs_});
     t.lambda_admitted = t.lambda_hat;
     lambda_admitted_sum_ += t.lambda_admitted;
   }
@@ -562,7 +520,7 @@ void Shard::greedy_repack() {
   // small LP solves, no optimality claim — the exact re-solve is reserved
   // for shards within max_resolve_tenants. A tenant whose LP does not
   // solve keeps its old reservation.
-  clear_ledger();
+  committed_.clear();
   drift_abs_ = 0.0;
   lambda_admitted_sum_ = 0.0;
   for (std::uint32_t slot = 0; slot < entries_.size(); ++slot) {
@@ -574,7 +532,8 @@ void Shard::greedy_repack() {
                           std::max<std::uint32_t>(1, t.duration), num_bs_)
             .w;
     price(ti, t.cu, w, zrow(slot));
-    book(slot, 1.0);
+    committed_.book(topo_, ti.tmpl.service, CuId(t.cu), {zrow(slot), num_bs_},
+                    {ti.path.data() + t.cu * num_bs_, num_bs_});
     t.lambda_admitted = t.lambda_hat;
     lambda_admitted_sum_ += t.lambda_admitted;
   }
@@ -605,7 +564,7 @@ double Shard::radio_headroom_mbps() const {
 double Shard::cpu_headroom_cores() const {
   double total = 0.0;
   for (std::size_t c = 0; c < num_cu_; ++c) {
-    total += std::max(0.0, cpu_budget_cores_[c] - committed_cpu_cores_[c]);
+    total += std::max(0.0, budget_.cpu_cores[c] - committed_.cpu_cores[c]);
   }
   return total;
 }

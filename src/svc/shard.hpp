@@ -20,7 +20,7 @@
 // iff the risk-adjusted net value
 //     value = R − w·Σ_b (Λ − z*_b)
 // clears the configured margin; pop() then rewinds the model either way and
-// an admit commits the reservation into plain per-resource scalars. The
+// an admit books the reservation into the shard's acrr::Ledger. The
 // one model difference from the AC-RR slave is the reservation floor: z_b
 // may fall to 0 here, while the slave keeps z ≥ λ̂ (docs/service.md).
 // An arrival with an unknown slice type, a non-finite λ̂, σ̂ or penalty
@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "acrr/instance.hpp"
+#include "acrr/ledger.hpp"
 #include "solver/lp_session.hpp"
 #include "svc/events.hpp"
 #include "svc/id_map.hpp"
@@ -221,12 +222,7 @@ class Shard {
   void stage_candidate(const TypeInfo& ti, std::uint32_t cu, double w);
   /// Residual radio capacity of BS b in Mbps.
   [[nodiscard]] double radio_residual_mbps(std::size_t b) const;
-  /// Add (sign = +1) or remove (sign = −1) the radio, link and CPU load of
-  /// the tenant in `slot` to the committed ledger.
-  void book(std::uint32_t slot, double sign);
   void release_tenant(std::uint32_t slot);
-  void clear_ledger();
-  void recompute_committed();
   void benders_resolve();
   void greedy_repack();
 
@@ -260,13 +256,10 @@ class Shard {
   std::vector<std::uint32_t> link_order_;  ///< touched links, first-touch order
   std::vector<double> z_scratch_;          ///< [b], the priced reservation
 
-  // Committed-resource scalars (the shard's whole "model" between solves).
-  std::vector<double> committed_radio_prbs_;  ///< [b]
-  std::vector<double> committed_cpu_cores_;   ///< [c], Σ (a + b·Σz)
-  std::vector<double> committed_link_mbps_;   ///< [e], Σ overhead·z
-  std::vector<double> radio_budget_prbs_;     ///< [b] (scaled capacities)
-  std::vector<double> cpu_budget_cores_;      ///< [c]
-  std::vector<double> link_budget_mbps_;      ///< [e]
+  // The shard's whole "model" between solves: what its live tenants have
+  // reserved, against the scaled capacities it owns.
+  acrr::Ledger committed_;
+  acrr::Ledger budget_;
 
   // Drift tracking for the re-solve trigger.
   double drift_abs_ = 0.0;            ///< Σ |λ̂ − λ̂_admitted| over live tenants

@@ -1,6 +1,7 @@
-// Tests for the AC-RR core: instance construction & pruning, the Benders
-// slave and its cuts, Benders optimality versus brute-force enumeration,
-// the KAC heuristic, and the no-overbooking baseline.
+// Tests for the AC-RR core: the resource Ledger, instance construction &
+// pruning, the Benders slave and its cuts, Benders optimality versus
+// brute-force enumeration, the KAC heuristic, and the no-overbooking
+// baseline.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,6 +10,7 @@
 #include "acrr/benders.hpp"
 #include "acrr/instance.hpp"
 #include "acrr/kac.hpp"
+#include "acrr/ledger.hpp"
 #include "acrr/slave.hpp"
 #include "common/rng.hpp"
 #include "overhead_topology.hpp"
@@ -89,6 +91,51 @@ double brute_force_objective(const AcrrInstance& inst) {
   };
   recurse(0);
   return best;
+}
+
+// ------------------------------------------------------------------ Ledger
+
+TEST(Ledger, BooksEtaWeightedUsageAndReleasesExactly) {
+  // Two BSs wired straight to an edge CU: η_e = 1.1 on bs0's link (Eq. 3),
+  // 1.0 on bs1's. Each entry then holds one term, so a release must bring
+  // it back to exactly 0.
+  topo::Topology t;
+  const NodeId n0 = t.graph.add_node(topo::NodeKind::BaseStation, 0.5, 0.0, "bs0");
+  const NodeId n1 = t.graph.add_node(topo::NodeKind::BaseStation, 1.0, 0.0, "bs1");
+  const NodeId ne = t.graph.add_node(topo::NodeKind::ComputeUnit, 0.0, 0.5, "edge");
+  t.graph.add_link(n0, ne, 32.0, topo::LinkTech::Fiber, -1.0, 1.1);
+  t.graph.add_link(n1, ne, 1000.0, topo::LinkTech::Fiber, -1.0, 1.0);
+  t.add_bs(n0, 100.0, kMbpsPerPrbIdeal, "bs0");
+  t.add_bs(n1, 100.0, kMbpsPerPrbIdeal, "bs1");
+  t.add_cu(ne, 16.0, true, "edge");
+  const topo::PathCatalog catalog(t, 1);
+  const topo::CandidatePath* paths[] = {
+      &catalog.paths(BsId(0), CuId(0)).front(),
+      &catalog.paths(BsId(1), CuId(0)).front()};
+  const slice::ServiceModel svc{1.5, 0.2};
+  const double z[] = {30.0, 12.0};  // z_0 fits bs0's 32 Mb/s link; η·z_0 does not
+
+  Ledger used(t);
+  used.book(t, svc, CuId(0), z, paths);
+  EXPECT_DOUBLE_EQ(used.radio_prbs[0], 30.0 / kMbpsPerPrbIdeal);
+  EXPECT_DOUBLE_EQ(used.radio_prbs[1], 12.0 / kMbpsPerPrbIdeal);
+  EXPECT_DOUBLE_EQ(used.link_mbps[0], 1.1 * 30.0);
+  EXPECT_DOUBLE_EQ(used.link_mbps[1], 12.0);
+  EXPECT_DOUBLE_EQ(used.cpu_cores[0], 1.5 + 0.2 * 42.0);
+
+  Ledger cap = Ledger::capacities(t);
+  EXPECT_FALSE(used.fits(cap, 1e-9));
+  EXPECT_EQ(used.over(cap, 1e-9), 1u);  // bs0's link only
+  cap.link_mbps[0] = used.link_mbps[0];
+  EXPECT_TRUE(used.fits(cap, 1e-9));
+  cap.link_mbps[0] = used.link_mbps[0] - 1e-6;  // just over, beyond tol
+  EXPECT_FALSE(used.fits(cap, 1e-9));
+
+  // A release subtracts exactly what the commit added.
+  used.book(t, svc, CuId(0), z, paths, -1.0);
+  for (const auto* v : {&used.radio_prbs, &used.link_mbps, &used.cpu_cores}) {
+    for (double x : *v) EXPECT_EQ(x, 0.0);
+  }
 }
 
 // ----------------------------------------------------------------- Instance

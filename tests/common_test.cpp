@@ -275,52 +275,37 @@ TEST(EmpiricalDistribution, CdfSeriesMonotone) {
 
 // ---------------------------------------------------------------------- JSON
 
-TEST(Json, RoundTripScalars) {
-  using namespace ovnes::json;
-  EXPECT_EQ(parse("null"), Value(nullptr));
-  EXPECT_EQ(parse("true").as_bool(), true);
-  EXPECT_EQ(parse("-3.5e2").as_number(), -350.0);
-  EXPECT_EQ(parse("\"a\\nb\"").as_string(), "a\nb");
-}
-
-TEST(Json, RoundTripNested) {
+TEST(Json, DumpNestedObjectWithEscapes) {
   using namespace ovnes::json;
   Object obj;
-  obj["name"] = Value("slice-1");
-  obj["sla_mbps"] = Value(50.0);
-  obj["paths"] = Value(Array{Value(1), Value(2), Value(3)});
+  obj["name"] = Value("slice \"1\"\n");
+  obj["sla_mbps"] = Value(50.5);
+  obj["paths"] = Value(Array{Value(1), Value(true), Value(nullptr)});
   Object inner;
   inner["cpu"] = Value(2.5);
   obj["compute"] = Value(std::move(inner));
+  obj["empty"] = Value(Array{});
   const Value v(std::move(obj));
 
-  const Value back = parse(v.dump());
-  EXPECT_EQ(back, v);
-  const Value pretty = parse(v.dump(2));
-  EXPECT_EQ(pretty, v);
-}
-
-TEST(Json, AccessorsThrowOnTypeMismatch) {
-  using namespace ovnes::json;
-  const Value v = parse("{\"a\": 1}");
-  EXPECT_THROW((void)v.as_array(), JsonError);
-  EXPECT_THROW((void)v.at("missing"), JsonError);
-  EXPECT_TRUE(v.has("a"));
-  EXPECT_FALSE(v.has("b"));
-}
-
-TEST(Json, ParseErrors) {
-  using namespace ovnes::json;
-  EXPECT_THROW(parse("{"), JsonError);
-  EXPECT_THROW(parse("[1,]2"), JsonError);
-  EXPECT_THROW(parse("tru"), JsonError);
-  EXPECT_THROW(parse("\"unterminated"), JsonError);
-  EXPECT_THROW(parse("1 2"), JsonError);
-}
-
-TEST(Json, UnicodeEscape) {
-  using namespace ovnes::json;
-  EXPECT_EQ(parse("\"\\u0041\"").as_string(), "A");
+  // Object members render in key order.
+  EXPECT_EQ(v.dump(),
+            "{\"compute\":{\"cpu\":2.5},\"empty\":[],"
+            "\"name\":\"slice \\\"1\\\"\\n\",\"paths\":[1,true,null],"
+            "\"sla_mbps\":50.5}");
+  EXPECT_EQ(v.dump(2),
+            "{\n"
+            "  \"compute\": {\n"
+            "    \"cpu\": 2.5\n"
+            "  },\n"
+            "  \"empty\": [],\n"
+            "  \"name\": \"slice \\\"1\\\"\\n\",\n"
+            "  \"paths\": [\n"
+            "    1,\n"
+            "    true,\n"
+            "    null\n"
+            "  ],\n"
+            "  \"sla_mbps\": 50.5\n"
+            "}");
 }
 
 // format_double: shortest decimal whose strtod parse is bit-exact, so any
@@ -335,8 +320,6 @@ TEST(Json, FormatDoubleRoundTripsBitExact) {
   for (const double d : cases) {
     const std::string s = format_double(d);
     EXPECT_EQ(std::strtod(s.c_str(), nullptr), d) << s;
-    // parse(dump(v)) preserves the bit pattern through the Value model too.
-    EXPECT_EQ(parse(Value(d).dump()).as_number(), d) << s;
   }
 }
 

@@ -4,6 +4,9 @@
 // Fig. 7 testbed.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+
 #include "orch/orchestrator.hpp"
 #include "orch/scenario.hpp"
 #include "topo/generators.hpp"
@@ -34,6 +37,22 @@ std::function<traffic::DemandPtr(BsId)> gaussian_factory(double mean,
   };
 }
 
+// Run epochs of `sim`, asserting that every epoch without a §3.4 deficit
+// books its reservations within capacity.
+EpochReport checked_epoch(Simulation& sim) {
+  EpochReport r = sim.run_epoch();
+  if (r.deficit == 0.0) {
+    EXPECT_EQ(r.over_capacity, 0u) << "epoch " << r.epoch;
+  }
+  return r;
+}
+
+std::vector<EpochReport> checked_run(Simulation& sim, std::size_t n) {
+  std::vector<EpochReport> out;
+  for (std::size_t i = 0; i < n; ++i) out.push_back(checked_epoch(sim));
+  return out;
+}
+
 OrchestratorConfig fast_cfg(Algorithm algo) {
   OrchestratorConfig cfg;
   cfg.algorithm = algo;
@@ -47,7 +66,7 @@ TEST(Simulation, AdmitsAndAccruesRevenue) {
   Simulation sim(topo::make_testbed(), 2, fast_cfg(Algorithm::Benders));
   sim.submit(request(0, SliceType::eMBB, 0, 10, 25.0, 2.5),
              gaussian_factory(25.0, 2.5));
-  const EpochReport rep = sim.run_epoch();
+  const EpochReport rep = checked_epoch(sim);
   ASSERT_EQ(rep.accepted.size(), 1u);
   EXPECT_EQ(rep.active_slices, 1u);
   EXPECT_DOUBLE_EQ(rep.reward, 1.0);  // eMBB R = 1 per epoch
@@ -64,7 +83,7 @@ TEST(Simulation, SliceExpiresAfterDuration) {
   Simulation sim(topo::make_testbed(), 2, fast_cfg(Algorithm::Benders));
   sim.submit(request(0, SliceType::eMBB, 0, 3, 20.0, 0.0),
              gaussian_factory(20.0, 0.0));
-  auto reports = sim.run(4);
+  auto reports = checked_run(sim, 4);
   EXPECT_EQ(reports[0].accepted.size(), 1u);
   EXPECT_EQ(reports[2].expired.size(), 1u);
   EXPECT_EQ(reports[3].active_slices, 0u);
@@ -74,7 +93,7 @@ TEST(Simulation, ArrivalsWaitForTheirEpoch) {
   Simulation sim(topo::make_testbed(), 2, fast_cfg(Algorithm::Benders));
   sim.submit(request(0, SliceType::eMBB, 2, 5, 20.0, 0.0),
              gaussian_factory(20.0, 0.0));
-  auto reports = sim.run(3);
+  auto reports = checked_run(sim, 3);
   EXPECT_TRUE(reports[0].accepted.empty());
   EXPECT_TRUE(reports[1].accepted.empty());
   EXPECT_EQ(reports[2].accepted.size(), 1u);
@@ -92,7 +111,7 @@ TEST(Simulation, OverbookingAdmitsMoreThanBaselineOnTestbed) {
                  gaussian_factory(12.5, 1.25));
     }
     std::size_t admitted = 0;
-    for (const EpochReport& r : sim.run(4)) admitted += r.accepted.size();
+    for (const EpochReport& r : checked_run(sim, 4)) admitted += r.accepted.size();
     return admitted;
   };
   EXPECT_EQ(drive(Algorithm::NoOverbooking), 1u);
@@ -108,7 +127,7 @@ TEST(Simulation, PinnedSlicesSurviveLaterArrivals) {
     sim.submit(request(i, SliceType::uRLLC, 2, 20, 12.0, 1.0),
                gaussian_factory(12.0, 1.0));
   }
-  auto reports = sim.run(4);
+  auto reports = checked_run(sim, 4);
   // The first slice is never evicted.
   for (const EpochReport& r : reports) {
     for (const auto& name : r.expired) EXPECT_NE(name, "embb0");
@@ -126,21 +145,17 @@ TEST(Simulation, UsageNeverExceedsCapacityPlusDeficit) {
     sim.submit(request(i, SliceType::eMBB, 0, 10, 20.0, 4.0),
                gaussian_factory(20.0, 4.0));
   }
-  for (const EpochReport& r : sim.run(5)) {
-    const auto& topo = sim.topology();
-    for (std::size_t b = 0; b < topo.num_bs(); ++b) {
-      EXPECT_LE(r.usage.radio_reserved[b],
-                topo.bs(BsId(static_cast<std::uint32_t>(b))).capacity +
-                    r.deficit + 1e-6);
+  const acrr::Ledger cap = acrr::Ledger::capacities(sim.topology());
+  for (const EpochReport& r : checked_run(sim, 5)) {
+    const acrr::Ledger& used = r.usage.reserved;
+    for (std::size_t b = 0; b < cap.radio_prbs.size(); ++b) {
+      EXPECT_LE(used.radio_prbs[b], cap.radio_prbs[b] + r.deficit + 1e-6);
     }
-    for (std::size_t c = 0; c < topo.num_cu(); ++c) {
-      EXPECT_LE(r.usage.cpu_reserved[c],
-                topo.cu(CuId(static_cast<std::uint32_t>(c))).capacity +
-                    r.deficit + 1e-6);
+    for (std::size_t c = 0; c < cap.cpu_cores.size(); ++c) {
+      EXPECT_LE(used.cpu_cores[c], cap.cpu_cores[c] + r.deficit + 1e-6);
     }
-    for (std::size_t l = 0; l < topo.graph.num_links(); ++l) {
-      EXPECT_LE(r.usage.link_reserved[l],
-                topo.graph.links()[l].capacity + r.deficit + 1e-6);
+    for (std::size_t l = 0; l < cap.link_mbps.size(); ++l) {
+      EXPECT_LE(used.link_mbps[l], cap.link_mbps[l] + r.deficit + 1e-6);
     }
   }
 }
@@ -149,7 +164,7 @@ TEST(Simulation, ViolationsAreRareUnderHonestDeclarations) {
   Simulation sim(topo::make_testbed(), 2, fast_cfg(Algorithm::Benders));
   sim.submit(request(0, SliceType::eMBB, 0, 30, 25.0, 2.5),
              gaussian_factory(25.0, 2.5));
-  sim.run(20);
+  checked_run(sim, 20);
   // Single tenant, ample capacity: z -> Λ, so SLA violations ~ 0.
   EXPECT_LT(sim.ledger().violation_probability(), 0.001);
 }
@@ -160,7 +175,7 @@ TEST(Simulation, KacAlgorithmRunsEndToEnd) {
     sim.submit(request(i, SliceType::eMBB, 0, 10, 15.0, 1.5),
                gaussian_factory(15.0, 1.5));
   }
-  const EpochReport rep = sim.run_epoch();
+  const EpochReport rep = checked_epoch(sim);
   EXPECT_GE(rep.accepted.size(), 2u);
   EXPECT_GT(rep.net_revenue, 0.0);
 }
@@ -175,10 +190,10 @@ TEST(Simulation, RetryRejectedQueuesAgain) {
     sim.submit(request(i, SliceType::mMTC, 0, 10, 10.0, 0.0),
                gaussian_factory(10.0, 0.0));
   }
-  auto r0 = sim.run_epoch();
+  auto r0 = checked_epoch(sim);
   EXPECT_EQ(r0.accepted.size() + r0.rejected.size(), 2u);
   const std::size_t rejected_first = r0.rejected.size();
-  auto r1 = sim.run_epoch();
+  auto r1 = checked_epoch(sim);
   // Retried request shows up again in epoch 1's decision.
   EXPECT_EQ(r1.rejected.size() + r1.accepted.size(), rejected_first);
 }
@@ -201,13 +216,13 @@ TEST(Simulation, SingleTreeSolvesEachEpochFromScratch) {
     sim.submit(request(i, SliceType::mMTC, 0, 10, 10.0, 0.0),
                gaussian_factory(10.0, 0.0));
   }
-  const EpochReport r0 = sim.run_epoch();
+  const EpochReport r0 = checked_epoch(sim);
   ASSERT_EQ(r0.accepted.size(), 1u);
   ASSERT_EQ(r0.rejected.size(), 1u);
-  const EpochReport r1 = sim.run_epoch();  // pins + retry
+  const EpochReport r1 = checked_epoch(sim);  // pins + retry
   ASSERT_EQ(r1.rejected.size(), 1u);
   EXPECT_GT(r1.cuts_separated, 0);
-  const EpochReport r2 = sim.run_epoch();  // the same instance again
+  const EpochReport r2 = checked_epoch(sim);  // the same instance again
   EXPECT_EQ(r2.cuts_from_pool, 0);
   EXPECT_EQ(r2.cuts_separated, r1.cuts_separated);
   EXPECT_EQ(r2.accepted, r1.accepted);
@@ -257,7 +272,7 @@ TEST(Simulation, RuntimeStaysAlignedAcrossExpiryAndRetry) {
       {8.2316088334484263, 10, {72.015043440132573, 71.401838762493924}},
       {6.2000000000000028, 0, {48.226708175324937, 47.12681447591617}},
       {5.2000000000000028, 0, {18.50192711445089, 19.304671892825684}}};
-  const std::vector<EpochReport> reports = sim.run(6);
+  const std::vector<EpochReport> reports = checked_run(sim, 6);
   // The run exercises what the test is about: a retried reject admitted
   // later, and expiries from the middle of the active set.
   EXPECT_EQ(reports[3].expired,
@@ -268,11 +283,74 @@ TEST(Simulation, RuntimeStaysAlignedAcrossExpiryAndRetry) {
     const EpochReport& r = reports[e];
     EXPECT_DOUBLE_EQ(r.net_revenue, expected[e].net_revenue);
     EXPECT_EQ(r.violations, expected[e].violations);
-    ASSERT_EQ(r.usage.radio_load.size(), 2u);
+    ASSERT_EQ(r.usage.load.radio_prbs.size(), 2u);
     for (std::size_t b = 0; b < 2; ++b) {
-      EXPECT_DOUBLE_EQ(r.usage.radio_load[b], expected[e].radio_load[b]);
+      EXPECT_DOUBLE_EQ(r.usage.load.radio_prbs[b], expected[e].radio_load[b]);
     }
   }
+}
+
+TEST(Simulation, ValidatesRequests) {
+  Simulation sim(topo::make_testbed(), 2, fast_cfg(Algorithm::Benders));
+  const auto submit = [&sim](const slice::SliceRequest& r) {
+    sim.submit(r, gaussian_factory(20.0, 2.0));
+  };
+  const slice::SliceRequest valid = request(0, SliceType::eMBB, 0, 10, 20.0, 2.0);
+  EXPECT_NO_THROW(submit(valid));
+  EXPECT_THROW(submit(valid), std::invalid_argument);  // duplicate name
+
+  auto zero_sla = request(1, SliceType::eMBB, 0, 10, 20.0, 2.0);
+  zero_sla.tmpl.sla_rate = 0.0;
+  EXPECT_THROW(submit(zero_sla), std::invalid_argument);
+  auto zero_dur = request(2, SliceType::eMBB, 0, 10, 20.0, 2.0);
+  zero_dur.duration_epochs = 0;
+  EXPECT_THROW(submit(zero_dur), std::invalid_argument);
+  auto over_declared = request(3, SliceType::eMBB, 0, 10, 100.0, 2.0);  // Λ = 50
+  EXPECT_THROW(submit(over_declared), std::invalid_argument);
+  auto negative_m = request(4, SliceType::eMBB, 0, 10, 20.0, 2.0);
+  negative_m.penalty_factor = -1.0;
+  EXPECT_THROW(submit(negative_m), std::invalid_argument);
+
+  // Every field of Φτ that reaches the solver or the revenue ledger must be
+  // finite; `x < 0` and `x <= 0` tests let NaN through.
+  double slice::SliceRequest::*const request_fields[] = {
+      &slice::SliceRequest::declared_mean, &slice::SliceRequest::declared_std,
+      &slice::SliceRequest::penalty_factor};
+  double slice::SliceTemplate::*const template_fields[] = {
+      &slice::SliceTemplate::sla_rate, &slice::SliceTemplate::delay_budget,
+      &slice::SliceTemplate::reward};
+  std::uint32_t id = 10;
+  for (const double bad : {std::nan(""), HUGE_VAL}) {
+    for (const auto field : request_fields) {
+      auto r = request(id++, SliceType::eMBB, 0, 10, 20.0, 2.0);
+      r.*field = bad;
+      EXPECT_THROW(submit(r), std::invalid_argument) << r.name;
+    }
+    for (const auto field : template_fields) {
+      auto r = request(id++, SliceType::eMBB, 0, 10, 20.0, 2.0);
+      r.tmpl.*field = bad;
+      EXPECT_THROW(submit(r), std::invalid_argument) << r.name;
+    }
+  }
+
+  // Only the valid request was queued; it is admitted alone.
+  const EpochReport rep = checked_epoch(sim);
+  EXPECT_EQ(rep.accepted, std::vector<std::string>{valid.name});
+  EXPECT_TRUE(rep.rejected.empty());
+}
+
+TEST(Simulation, UnnamedSubmissionsGetDistinctNamesAcrossEpochs) {
+  Simulation sim(topo::make_testbed(), 2, fast_cfg(Algorithm::Benders));
+  auto unnamed = request(0, SliceType::eMBB, 0, 10, 10.0, 1.0);
+  unnamed.name.clear();
+  sim.submit(unnamed, gaussian_factory(10.0, 1.0));
+  const EpochReport r0 = checked_epoch(sim);
+  unnamed.arrival_epoch = 1;
+  ASSERT_NO_THROW(sim.submit(unnamed, gaussian_factory(10.0, 1.0)));
+  const EpochReport r1 = checked_epoch(sim);
+  ASSERT_EQ(r0.accepted.size(), 1u);
+  ASSERT_EQ(r1.accepted.size(), 1u);
+  EXPECT_NE(r0.accepted[0], r1.accepted[0]);
 }
 
 // ---------------------------------------------------------------- Scenarios
@@ -381,7 +459,7 @@ TEST(Scenario, SolverCountersMergeEveryEpoch) {
     ++id;
   }
   solver::SolveStats merged;
-  for (std::size_t e = 0; e < res.epochs; ++e) merged.merge(sim.run_epoch());
+  for (std::size_t e = 0; e < res.epochs; ++e) merged.merge(checked_epoch(sim));
 
   EXPECT_GT(merged.separation_rounds, 0);
   EXPECT_GE(merged.first_incumbent_nodes, 0);
