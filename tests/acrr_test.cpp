@@ -312,6 +312,30 @@ TEST(Slave, OptimalityCutIsTightAtTrialPoint) {
   }
 }
 
+// η_e = 1.1 on every 40 Mb/s link: one eMBB tenant (λ̂ = 10) on both BSs
+// of the edge CU is capped by the shared switch–edge link at
+// Σ_b z_b = 40/1.1, the only row with a non-zero dual. The cut slope must
+// charge that dual η_e per Mb/s (Eq. 3) for the cut to stay tight.
+TEST(Slave, OptimalityCutChargesLinkOverhead) {
+  Fixture f(test_topo::with_overheads(
+      topo::make_mini(2, 1000.0, 0.0, 20000.0, 40.0), [] { return 1.1; }));
+  const AcrrInstance inst =
+      f.instance({make_tenant(0, SliceType::eMBB, 10.0, 0.25)});
+  SlaveProblem slave(inst);
+  std::vector<char> active(inst.vars().size(), 0);
+  for (const auto& group : inst.vars_by_bs(0, CuId(0))) {
+    active[static_cast<size_t>(group[0])] = 1;
+  }
+  const SlaveResult sr = slave.solve(active, false);
+  ASSERT_TRUE(sr.feasible);
+  double z_sum = 0.0;
+  for (std::size_t j = 0; j < active.size(); ++j) {
+    if (active[j]) z_sum += sr.z[j];
+  }
+  EXPECT_NEAR(z_sum, 40.0 / 1.1, 1e-6);  // the link binds
+  EXPECT_NEAR(sr.cut.value_at(active), sr.objective, 1e-6);
+}
+
 // ------------------------------------------------------------------ Benders
 
 TEST(Benders, AcceptsEverythingWhenCapacityIsAmple) {
@@ -531,6 +555,22 @@ TEST(NoOverbooking, ComputeBoundForMmtc) {
   // Overbooking with λ̂ = 2 Mb/s (compute 4 cores/BS): all 10 fit.
   const AdmissionResult over = solve_benders(f.instance(ts));
   EXPECT_EQ(over.num_accepted(), 10u);
+}
+
+TEST(NoOverbooking, TransportRowsChargeLinkOverhead) {
+  // Two eMBB tenants at Λ = 50 on both BSs put 2·2·50 = 200 Mb/s on the
+  // switch–edge link: that fits 210 Mb/s at η_e = 1, not at η_e = 1.1.
+  const topo::Topology plain = topo::make_mini(2, 1000.0, 0.0, 20000.0, 210.0);
+  std::vector<TenantModel> ts;
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    ts.push_back(make_tenant(i, SliceType::eMBB, 10.0, 0.3));
+  }
+  AcrrConfig cfg;
+  cfg.no_overbooking = true;
+  EXPECT_EQ(solve_no_overbooking(Fixture(plain).instance(ts, cfg)).num_accepted(),
+            2u);
+  const Fixture f(test_topo::with_overheads(plain, [] { return 1.1; }));
+  EXPECT_EQ(solve_no_overbooking(f.instance(ts, cfg)).num_accepted(), 1u);
 }
 
 TEST(NoOverbooking, ReservationsEqualSla) {

@@ -2,7 +2,7 @@
 // replay across thread counts, tenant state transitions, typed rejection of
 // malformed arrivals and forecasts, slot reuse under churn, overload
 // shedding, fixed-duration expiry, from-scratch Benders re-solves, the
-// greedy repack, and the hot path against the AC-RR slave.
+// greedy repack, the hot path against the AC-RR slave, and link overheads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +14,7 @@
 #include "acrr/slave.hpp"
 #include "common/rng.hpp"
 #include "exec/thread_pool.hpp"
+#include "overhead_topology.hpp"
 #include "svc/service.hpp"
 #include "topo/generators.hpp"
 
@@ -551,6 +552,26 @@ TEST(SvcModel, HotPathMatchesOneTenantSlave) {
   // service" item picks one box and will change this count.
   EXPECT_EQ(slave_infeasible, 19);
   EXPECT_EQ(positive_matched, 31);
+}
+
+TEST(SvcModel, FrameRowsAndLedgerChargeLinkOverhead) {
+  // η_e = 1.1 on every link of a 2-BS plane with one CU: the shared
+  // switch–edge link (link 2, C Mb/s) caps an arrival's Σz at C/1.1
+  // (Eq. 3), and once that is booked no link capacity is left for the next.
+  ShardConfig cfg;
+  cfg.admit_margin = -std::numeric_limits<double>::infinity();
+  Shard shard(test_topo::with_overheads(
+                  topo::make_mini(2, 1000.0, 0.0, 20000.0, 40.0),
+                  [] { return 1.1; }),
+              cfg, 0);
+  const double link_mbps = shard.topology().graph.link(LinkId(2)).capacity;
+  const auto embb = slice::SliceType::eMBB;
+  const Decision first = shard.handle(make_arrival(1, embb, 0.0, 0.25));
+  ASSERT_EQ(first.kind, DecisionKind::Admitted);
+  EXPECT_NEAR(first.z_total, link_mbps / 1.1, 1e-9);
+  const Decision second = shard.handle(make_arrival(2, embb, 0.0, 0.25));
+  ASSERT_EQ(second.kind, DecisionKind::Admitted);
+  EXPECT_NEAR(second.z_total, 0.0, 1e-9);
 }
 
 }  // namespace
